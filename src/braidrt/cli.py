@@ -304,7 +304,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     cross.add_argument("--max-strands", type=int, default=3)
     cross.add_argument("--max-length", type=int, default=6)
     cross.add_argument("--max-spin", type=Spin.from_string, default=Spin(2),
-                       metavar="J", help="largest color, e.g. 1/2 or 1 (default 1)")
+                       metavar="J", help="largest color, e.g. 1/2 or 1 (default %(default)s)")
     cross.add_argument("--seed", type=int, default=0)
     cross.add_argument("--samples", type=int, default=50)
 

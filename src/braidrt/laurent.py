@@ -229,9 +229,6 @@ _ONE = LaurentScalar.monomial(1, 0)
 ONE = _ONE
 ZERO = _ZERO
 Q = LaurentScalar.monomial(1, 4)
-Q_INV = LaurentScalar.monomial(1, -4)
-Q_HALF = LaurentScalar.monomial(1, 2)
-Q_QUARTER = LaurentScalar.monomial(1, 1)
 
 
 def q_power(numerator: int, denominator: int = 1) -> LaurentScalar:

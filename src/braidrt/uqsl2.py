@@ -17,6 +17,12 @@ Fixed conventions (everything downstream depends on these):
                      + (q - q^-1) E12(x)E21).
       The positive braiding is Rhat = P o R; on the spin-(1/2) square it has
       channel eigenvalues q^(1/2) (spin 1) and -q^(-3/2) (spin 0).
+    * Inverse R-matrix, again a closed series (no linear algebra):
+          R^-1 = (sum_n  (-1)^n c'_n E^n (x) F^n) * q^(-H(x)H/2),
+          c'_n = (q - q^-1)^n q^(-n(n-1)/2) / [n]!
+      The negative braiding V_a (x) V_b -> V_b (x) V_a is R^-1 o P, with
+      R^-1 acting on V_b (x) V_a: the inverse of the positive braiding of
+      V_b (x) V_a.
     * mu = diag(q^(2m)); quantum traces weight basis vectors by q^(2 sum m).
     * ribbon_scalar(j) = q^(-2j(j+1)); the fundamental value is q^(-3/2).
 
@@ -24,12 +30,13 @@ On this convention set the positive braiding satisfies the skein identity
 q^(1/2) Rhat - q^(-1/2) Rhat^-1 = (q - q^-1) id, and closing a positive kink
 multiplies a quantum trace by ribbon_scalar(j)^(-1).
 
-Clebsch-Gordan maps phi: V_c -> V_a (x) V_b are built integrally from the
-highest-weight vector of the c-isotypic component; the projections psi are
-normalised so that psi o phi = id exactly, which forces denominators.  Those
-live in FractionScalar, an exact fraction layer over the Laurent ring used
-only inside intertwiner arithmetic; all externally visible invariants remain
-Laurent polynomials.
+Both braidings, and so every operator of the rt pipeline, have Laurent
+entries.  Clebsch-Gordan maps phi: V_c -> V_a (x) V_b are built integrally
+from the highest-weight vector of the c-isotypic component; the projections
+psi are normalised so that psi o phi = id exactly, which forces denominators.
+Those live in FractionScalar, an exact fraction layer over the Laurent ring
+used only inside the Clebsch-Gordan normalisation (the shadow pipeline); all
+externally visible invariants remain Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -212,10 +219,6 @@ class FractionScalar:
     __repr__ = __str__
 
 
-def _scalar_is_zero(x: ScalarLike) -> bool:
-    return x.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # Tensor operators
 # ---------------------------------------------------------------------------
@@ -245,7 +248,7 @@ class TensorOperator:
         rows: dict[WeightKey, dict[WeightKey, ScalarLike]] = {}
         if entries:
             for (r, c), v in entries.items():
-                if not _scalar_is_zero(v):
+                if not v.is_zero():
                     rows.setdefault(r, {})[c] = v
         self.rows = rows
 
@@ -258,10 +261,6 @@ class TensorOperator:
         for key in weight_keys(spins):
             op.rows[key] = {key: ONE}
         return op
-
-    @staticmethod
-    def zero(row_spins: Iterable[Spin], col_spins: Iterable[Spin]) -> TensorOperator:
-        return TensorOperator(row_spins, col_spins)
 
     # -- accessors ------------------------------------------------------------
 
@@ -306,13 +305,10 @@ class TensorOperator:
                     prod = v * w
                     cur = acc.get(c)
                     acc[c] = prod if cur is None else cur + prod
-            acc = {c: s for c, s in acc.items() if not _scalar_is_zero(s)}
+            acc = {c: s for c, s in acc.items() if not s.is_zero()}
             if acc:
                 out.rows[r] = acc
         return out
-
-    def __matmul__(self, other: TensorOperator) -> TensorOperator:
-        return self.compose(other)
 
     def __add__(self, other: TensorOperator) -> TensorOperator:
         if self.row_spins != other.row_spins or self.col_spins != other.col_spins:
@@ -323,7 +319,7 @@ class TensorOperator:
             for c, v in other.rows.get(r, {}).items():
                 cur = acc.get(c)
                 s = v if cur is None else cur + v
-                if _scalar_is_zero(s):
+                if s.is_zero():
                     acc.pop(c, None)
                 else:
                     acc[c] = s
@@ -336,7 +332,7 @@ class TensorOperator:
 
     def scale(self, scalar: ScalarLike) -> TensorOperator:
         out = TensorOperator(self.row_spins, self.col_spins)
-        if _scalar_is_zero(scalar):
+        if scalar.is_zero():
             return out
         for r, row in self.rows.items():
             out.rows[r] = {c: scalar * v for c, v in row.items()}
@@ -369,7 +365,7 @@ class TensorOperator:
                 raise ValueError("operator is not a multiple of the identity")
         for r, row in self.rows.items():
             for c, v in row.items():
-                if r != c and not _scalar_is_zero(v):
+                if r != c and not v.is_zero():
                     raise ValueError("operator is not a multiple of the identity")
         return s if s is not None else ZERO
 
@@ -382,19 +378,19 @@ def weight_keys(spins: Iterable[Spin]) -> Iterator[WeightKey]:
 def quantum_trace(op: TensorOperator) -> LaurentScalar:
     """tr((mu (x) ... (x) mu) o op); the closed Wilson-loop trace.
 
-    The operator must be square.  For every operator this engine produces the
-    trace is a Laurent polynomial; fraction entries are reduced exactly.
+    The operator must be square with Laurent entries, as every operator of
+    the rt pipeline is.
     """
     if not op.is_square():
         raise ValueError("quantum_trace requires identical row and column index tuples")
-    total: ScalarLike = ZERO
+    total = ZERO
     for r, row in op.rows.items():
         v = row.get(r)
         if v is None:
             continue
         weight = LaurentScalar.monomial(1, 4 * sum(r))  # q^(2m) per factor
         total = total + v * weight
-    return total.to_laurent() if isinstance(total, FractionScalar) else total
+    return total
 
 
 def partial_quantum_trace_last(op: TensorOperator) -> TensorOperator:
@@ -414,7 +410,7 @@ def partial_quantum_trace_last(op: TensorOperator) -> TensorOperator:
             key = c[:-1]
             cur = target.get(key)
             s = v * weight if cur is None else cur + v * weight
-            if _scalar_is_zero(s):
+            if s.is_zero():
                 target.pop(key, None)
             else:
                 target[key] = s
@@ -437,82 +433,46 @@ def mu_operator(j: Spin) -> TensorOperator:
 
 @lru_cache(maxsize=None)
 def braiding(a: Spin, b: Spin, sign: int = 1) -> TensorOperator:
-    """The braiding Rhat^(sign): V_a (x) V_b -> V_b (x) V_a.
+    """The braiding Rhat^(sign): V_a (x) V_b -> V_b (x) V_a, in closed form.
 
-    sign=+1 is P o (a (x) b)(R) with R the universal R-matrix in the fixed
-    conventions above; sign=-1 is the exact inverse of the opposite positive
-    braiding.  Entries are always Laurent polynomials.
+    sign=+1 is P o R with R = q^(H(x)H/2) X the universal R-matrix above;
+    sign=-1 is the inverse of the positive braiding of V_b (x) V_a, that is
+    R^-1 o P with R^-1 = X^-1 q^(-H(x)H/2) and
+
+        X^-1 = sum_n (-1)^n q^(-n(n-1)/2) (q - q^-1)^n / [n]!  E^n (x) F^n.
+
+    With s = sign, the column e_M1 (x) e_M2 (twice-weights) has its n-th term
+    in the row (M2', M1') = (M2 - 2sn, M1 + 2sn), with coefficient
+
+        s^n qbinom(k_E, n) [k_F][k_F - 1]...[k_F - n + 1] (q - q^-1)^n
+            * q^(s n(n-1)/2 + h/2),
+
+    where for s=+1 E^n raises V_a (k_E = (2a - M1)/2), F^n lowers V_b
+    (k_F = (2b + M2)/2) and h = M1' M2' is read on the output weights, and
+    for s=-1 E^n raises V_b (k_E = (2b - M2)/2), F^n lowers V_a
+    (k_F = (2a + M1)/2) and h = -M1 M2 is read on the input weights, because
+    q^(-H(x)H/2) acts before X^-1.  Every coefficient is a nonzero Laurent
+    polynomial and every entry is written once.
     """
-    if sign == 1:
-        return _positive_braiding(a, b)
-    if sign == -1:
-        return _invert_braiding(braiding(b, a, 1), a, b)
-    raise ValueError("sign must be +1 or -1")
-
-
-def _positive_braiding(a: Spin, b: Spin) -> TensorOperator:
-    qm1 = LaurentScalar.monomial(1, 4) + LaurentScalar.monomial(-1, -4)  # q - q^-1
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    step = LaurentScalar({4: sign, -4: -sign})  # s (q - q^-1)
     op = TensorOperator((b, a), (a, b))
     for m1 in a.weights():
         for m2 in b.weights():
-            ka = (a.twice_j - m1) // 2   # available E-raises on factor 1
-            kb = (b.twice_j + m2) // 2   # available F-lowers on factor 2
-            for n in range(0, min(ka, kb) + 1):
-                m1o, m2o = m1 + 2 * n, m2 - 2 * n
-                coeff = quantum_binomial(ka, n)
+            if sign == 1:
+                k_e, k_f = (a.twice_j - m1) // 2, (b.twice_j + m2) // 2
+            else:
+                k_e, k_f = (b.twice_j - m2) // 2, (a.twice_j + m1) // 2
+            for n in range(min(k_e, k_f) + 1):
+                m1o, m2o = m1 + 2 * sign * n, m2 - 2 * sign * n
+                h = m1o * m2o if sign == 1 else -m1 * m2
+                coeff = quantum_binomial(k_e, n) * step ** n
                 for i in range(n):
-                    coeff = coeff * quantum_integer(kb - i)
-                if n:
-                    coeff = coeff * qm1 ** n
-                # q^(n(n-1)/2) from the series, q^(2 m1' m2') from q^(H(x)H/2)
-                coeff = coeff * LaurentScalar.monomial(1, 2 * n * (n - 1) + 2 * m1o * m2o)
-                if coeff.is_zero():
-                    continue
-                row, col = (m2o, m1o), (m1, m2)
-                target = op.rows.setdefault(row, {})
-                target[col] = target.get(col, ZERO) + coeff
-    for row in list(op.rows):
-        op.rows[row] = {c: v for c, v in op.rows[row].items() if not v.is_zero()}
+                    coeff = coeff * quantum_integer(k_f - i)
+                coeff = coeff * LaurentScalar.monomial(1, 2 * sign * n * (n - 1) + 2 * h)
+                op.rows.setdefault((m2o, m1o), {})[(m1, m2)] = coeff
     return op
-
-
-def _invert_braiding(pos: TensorOperator, a: Spin, b: Spin) -> TensorOperator:
-    """Exact inverse of pos: V_b (x) V_a -> V_a (x) V_b, computed blockwise on
-    total weight; the result is integral and is re-stored over Laurent scalars."""
-    blocks: dict[int, list[WeightKey]] = {}
-    for key in weight_keys((b, a)):
-        blocks.setdefault(sum(key), []).append(key)
-    out = TensorOperator((b, a), (a, b))
-    for wt, domain_keys in blocks.items():
-        image_keys = [k for k in weight_keys((a, b)) if sum(k) == wt]
-        n = len(domain_keys)
-        idx_d = {k: i for i, k in enumerate(domain_keys)}
-        idx_i = {k: i for i, k in enumerate(image_keys)}
-        # augmented [M | I] over exact fractions
-        mat = [[FractionScalar.coerce(pos.entry(image_keys[r], domain_keys[c]))
-                for c in range(n)] + [FractionScalar(ONE if r == c else ZERO)
-                                      for c in range(n)]
-               for r in range(n)]
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if not mat[r][col].is_zero())
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            inv = FractionScalar(ONE) / mat[col][col]
-            mat[col] = [x * inv for x in mat[col]]
-            for r in range(n):
-                if r != col and not mat[r][col].is_zero():
-                    factor = mat[r][col]
-                    mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-        # after reduction the right block is M^-1: rows index the domain
-        # basis of the positive braiding, columns its image basis
-        for r in range(n):
-            for c in range(n):
-                val = mat[r][n + c]
-                if val.is_zero():
-                    continue
-                # mat rows were indexed like image rows of M; after reduction
-                # row r holds e_r of the domain expressed in image columns.
-                out.rows.setdefault(domain_keys[r], {})[image_keys[c]] = val.to_laurent()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -655,18 +615,18 @@ def cg_pair(a: Spin, b: Spin, c: Spin) -> tuple[TensorOperator, TensorOperator]:
         for (ma,), v in row.items():
             # contract with cap over the two V_b legs
             cap_val = cap.entry((0,), (mb1, -mb1))
-            if _scalar_is_zero(cap_val):
+            if cap_val.is_zero():
                 continue
             target = psi_raw.rows.setdefault((mc,), {})
             key = (ma, -mb1)
             cur = target.get(key, ZERO)
             s = cur + v * cap_val
-            if _scalar_is_zero(s):
+            if s.is_zero():
                 target.pop(key, None)
             else:
                 target[key] = s
     norm = psi_raw.compose(phi).proportionality_scalar()
-    if _scalar_is_zero(norm):
+    if norm.is_zero():
         raise ValueError("degenerate intertwiner pairing")
     psi = psi_raw.scale(FractionScalar(ONE) / FractionScalar.coerce(norm))
     return phi, psi

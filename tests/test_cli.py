@@ -122,6 +122,15 @@ def test_main_crosscheck(capsys):
     assert sum(1 for line in out.splitlines() if line.startswith("PASS ")) == 5
 
 
+def test_crosscheck_help_names_the_real_max_spin_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["crosscheck", "--help"])
+    assert "(default 1)" in " ".join(capsys.readouterr().out.split())
+    assert main(["crosscheck", "--max-strands", "2", "--max-length", "1",
+                 "--samples", "1"]) == 0
+    assert "max_spin=1," in capsys.readouterr().out
+
+
 def test_crosscheck_length_zero_only_runs_empty_words(capsys):
     code = main(["crosscheck", "--max-strands", "2", "--max-length", "0",
                  "--seed", "1", "--samples", "4"])

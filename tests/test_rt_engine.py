@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from braidrt import uqsl2
 from braidrt.braid import ColoredBraidWord, ColorMismatch, closure_components
 from braidrt.laurent import ONE, LaurentScalar, q_power
 from braidrt.rt_engine import (
@@ -88,6 +89,23 @@ def test_evaluate_rt_trefoil_and_hopf():
     assert evaluate_rt(B(2, HH, (1, 1, 1))) == TREFOIL
     assert evaluate_rt(B(2, HH, (-1, -1, -1))) == TREFOIL.mirror()
     assert evaluate_rt(B(2, HH, (1, 1))) == HOPF
+
+
+def test_evaluate_rt_builds_no_fractions(monkeypatch):
+    # Both braiding signs are closed-form Laurent series, so a cold rt
+    # evaluation with inverse crossings above spin 1/2 never makes a fraction.
+    calls = []
+    original = uqsl2.FractionScalar.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(uqsl2.FractionScalar, "__init__", counting_init)
+    uqsl2.braiding.cache_clear()
+    for twice_j in range(1, 5):
+        evaluate_rt(B(3, (Spin(twice_j),) * 3, (1, -2, -1, 2)))
+    assert calls == []
 
 
 def test_evaluate_rt_color_mismatch():

@@ -105,7 +105,8 @@ def test_fundamental_braiding_is_flip_of_standard_r_matrix():
 
 
 def test_braiding_inverse_pair():
-    for a, b in itertools.product(SMALL_SPINS, repeat=2):
+    # The oracle for the closed-form inverse series: every spin pair up to j=3.
+    for a, b in itertools.product(map(Spin, range(7)), repeat=2):
         pos, neg = braiding(a, b, 1), braiding(b, a, -1)
         assert neg.compose(pos) == I((a, b))
         assert pos.compose(neg) == I((b, a))

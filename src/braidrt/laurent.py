@@ -137,8 +137,9 @@ class LaurentScalar:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- predicates and accessors -------------------------------------------

@@ -14,8 +14,8 @@ delta_(g,h) [d_(gamma_n)] gives the closed formula
 
 where M is the matrix of the braid in the coupled basis.  Each elementary
 crossing acts locally on one chain entry; its matrix elements are the shadow
-coefficients below, computed once by explicit contraction of Clebsch-Gordan
-maps with the braiding and cached.
+coefficients below, each read as one entry <e_2a| ... |e_2a> of the
+Clebsch-Gordan maps contracted with the braiding, and cached.
 
 Shadow coefficients are exact fractions (the cg2 normalisation psi o phi = id
 forces quantum-integer denominators); every closed-trace total is a Laurent
@@ -34,7 +34,6 @@ from .uqsl2 import (
     SPIN_ZERO,
     FractionScalar,
     Spin,
-    TensorOperator,
     braiding,
     cg_pair,
     fusion_range,
@@ -94,7 +93,10 @@ def shadow_coefficient(
     the intermediate chain colors before / after, this is the Schur scalar of
 
         psi(b',p -> a) (psi(c,q -> b') (x) 1) (1 (x) Rhat_pq^sign)
-            (phi(b -> c,p) (x) 1) phi(a -> b,q).
+            (phi(b -> c,p) (x) 1) phi(a -> b,q),
+
+    read as its one entry <e_2a| ... |e_2a>, summed over the operators' cached
+    entries; fractions touch only the two psi factors.
 
     Inadmissible inputs give 0.  A trivial strand (p = 0) is transparent:
     the coefficient is 1 exactly when b = c and a = b_prime.
@@ -105,13 +107,25 @@ def shadow_coefficient(
             or b_prime not in fusion_range(c, q_color)
             or a not in fusion_range(b_prime, p)):
         return _ZERO_FRACTION
-    identity = TensorOperator.identity
-    op = cg_pair(b, q_color, a)[0]                                  # V_a -> V_b V_q
-    op = cg_pair(c, p, b)[0].tensor(identity((q_color,))).compose(op)   # -> V_c V_p V_q
-    op = identity((c,)).tensor(braiding(p, q_color, sign)).compose(op)  # -> V_c V_q V_p
-    op = cg_pair(c, q_color, b_prime)[1].tensor(identity((p,))).compose(op)  # -> V_b' V_p
-    op = cg_pair(b_prime, p, a)[1].compose(op)                      # -> V_a
-    return FractionScalar.coerce(op.proportionality_scalar())
+    phi_bq = cg_pair(b, q_color, a)[0].rows        # V_a -> V_b V_q
+    phi_cp = cg_pair(c, p, b)[0].rows              # V_b -> V_c V_p
+    rhat = braiding(p, q_color, sign).rows         # V_p V_q -> V_q V_p
+    psi_cq = cg_pair(c, q_color, b_prime)[1].rows  # V_c V_q -> V_b'
+    psi_bp = cg_pair(b_prime, p, a)[1].rows        # V_b' V_p -> V_a
+    top = (a.twice_j,)
+    total = _ZERO_FRACTION
+    for (m_bp, m_p), x in psi_bp[top].items():
+        acc = _ZERO_FRACTION
+        for (m_c, m_q), y in psi_cq[(m_bp,)].items():
+            # the Laurent entry ((1 x Rhat)(phi_cp x 1) phi_bq)[(m_c, m_q, m_p), top]
+            inner = ZERO
+            for (m_p0, m_q0), r in rhat[(m_q, m_p)].items():
+                for (m_b,), w in phi_cp.get((m_c, m_p0), {}).items():
+                    inner = inner + r * w * phi_bq[(m_b, m_q0)][top]
+            if not inner.is_zero():
+                acc = acc + y * inner
+        total = total + x * acc
+    return total
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,17 @@ multiplies a quantum trace by ribbon_scalar(j)^(-1).
 
 Both braidings, and so every operator of the rt pipeline, have Laurent
 entries.  Clebsch-Gordan maps phi: V_c -> V_a (x) V_b are built integrally
-from the highest-weight vector of the c-isotypic component; the projections
-psi are normalised so that psi o phi = id exactly, which forces denominators.
-Those live in FractionScalar, an exact fraction layer over the Laurent ring
-used only inside the Clebsch-Gordan normalisation (the shadow pipeline); all
-externally visible invariants remain Laurent polynomials.
+from the highest-weight vector of the c-isotypic component.  The projection
+psi is the q-adjoint of phi: E -> F K, F -> K^-1 E, K -> K is an algebra
+anti-automorphism and a coalgebra map for the coproduct above, so the
+contravariant form (e_M, e_M) = t^(E_j(M)) / qbinom(2j, k) on each V_j
+(k = (M + 2j)/2, E_j(M) = 4k(k + 1 - 2j)) multiplies to a contravariant form
+on V_a (x) V_b, and the adjoint of an intertwiner is an intertwiner.
+Hom(V_a (x) V_b, V_c) is one-dimensional, so normalising psi o phi = id
+fixes psi; that forces denominators.  They live in FractionScalar, an exact
+fraction layer over the Laurent ring used only inside the Clebsch-Gordan
+normalisation (the shadow pipeline); all externally visible invariants remain
+Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Union
 
 from .laurent import (
     ONE,
@@ -178,9 +184,6 @@ class FractionScalar:
     def __sub__(self, other: ScalarLike) -> FractionScalar:
         return self + (-FractionScalar.coerce(other))
 
-    def __rsub__(self, other: ScalarLike) -> FractionScalar:
-        return FractionScalar.coerce(other) + (-self)
-
     def __neg__(self) -> FractionScalar:
         out = FractionScalar.__new__(FractionScalar)
         out.num, out.den = -self.num, self.den
@@ -197,9 +200,6 @@ class FractionScalar:
         if o.num.is_zero():
             raise ZeroDivisionError
         return FractionScalar(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other: ScalarLike) -> FractionScalar:
-        return FractionScalar.coerce(other) / self
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FractionScalar):
@@ -237,20 +237,10 @@ class TensorOperator:
 
     __slots__ = ("row_spins", "col_spins", "rows")
 
-    def __init__(
-        self,
-        row_spins: Iterable[Spin],
-        col_spins: Iterable[Spin],
-        entries: Mapping[tuple[WeightKey, WeightKey], ScalarLike] | None = None,
-    ):
+    def __init__(self, row_spins: Iterable[Spin], col_spins: Iterable[Spin]):
         self.row_spins = tuple(row_spins)
         self.col_spins = tuple(col_spins)
-        rows: dict[WeightKey, dict[WeightKey, ScalarLike]] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not v.is_zero():
-                    rows.setdefault(r, {})[c] = v
-        self.rows = rows
+        self.rows: dict[WeightKey, dict[WeightKey, ScalarLike]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -480,21 +470,6 @@ def braiding(a: Spin, b: Spin, sign: int = 1) -> TensorOperator:
 # ---------------------------------------------------------------------------
 
 
-def _delta_E_apply(a: Spin, b: Spin, vec: dict[WeightKey, LaurentScalar]) -> dict:
-    """Apply D(E) = E (x) K + 1 (x) E to a vector in V_a (x) V_b."""
-    out: dict[WeightKey, LaurentScalar] = {}
-    for (m1, m2), c in vec.items():
-        if m1 < a.twice_j:
-            coeff = quantum_integer((a.twice_j - m1) // 2) * LaurentScalar.monomial(1, 4 * m2) * c
-            key = (m1 + 2, m2)
-            out[key] = out.get(key, ZERO) + coeff
-        if m2 < b.twice_j:
-            coeff = quantum_integer((b.twice_j - m2) // 2) * c
-            key = (m1, m2 + 2)
-            out[key] = out.get(key, ZERO) + coeff
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 def _delta_F_apply(a: Spin, b: Spin, vec: dict[WeightKey, LaurentScalar]) -> dict:
     """Apply D(F) = F (x) 1 + K^-1 (x) F to a vector in V_a (x) V_b."""
     out: dict[WeightKey, LaurentScalar] = {}
@@ -577,56 +552,41 @@ def _phi_integral(a: Spin, b: Spin, c: Spin) -> TensorOperator:
 
 
 @lru_cache(maxsize=None)
-def _cap(b: Spin) -> TensorOperator:
-    """Primitive integral invariant functional V_b (x) V_b -> V_0."""
-    vals: dict[int, FractionScalar] = {-b.twice_j: FractionScalar(ONE)}
-    for m in range(-b.twice_j + 2, b.twice_j + 1, 2):
-        prev = vals[m - 2]
-        num = -prev.num * quantum_integer((b.twice_j + m) // 2) * LaurentScalar.monomial(1, 4 * m)
-        den = prev.den * quantum_integer((b.twice_j - m) // 2 + 1)
-        vals[m] = FractionScalar(num, den)
-    # clear denominators to a primitive integral functional
-    clear = ONE
-    for v in vals.values():
-        clear = divide_exact(clear * v.den, gcd(clear, v.den))
-    op = TensorOperator((SPIN_ZERO,), (b, b))
-    for m, v in vals.items():
-        op.rows.setdefault((0,), {})[(m, -m)] = (v * clear).to_laurent()
-    return _primitive(op)
-
-
-@lru_cache(maxsize=None)
 def cg_pair(a: Spin, b: Spin, c: Spin) -> tuple[TensorOperator, TensorOperator]:
     """The Clebsch-Gordan pair (phi: V_c -> V_a (x) V_b, psi: V_a (x) V_b -> V_c)
     normalised so that psi o phi = id_(V_c) exactly.
 
-    phi is integral; psi carries the normalising denominator.  Over all c in
-    the fusion range, sum_c phi_c psi_c = id (completeness).
+    phi is integral.  psi is the adjoint of phi for the contravariant forms
+    (module docstring); cleared of the constant [2a]! [2b]! it is integral,
+
+        psi_raw[Mc, (M1, M2)] = phi[(M1, M2), Mc] * [k1]! [2a-k1]! [k2]! [2b-k2]!
+                                * qbinom(2c, kc) * t^(E_a(M1) + E_b(M2) - E_c(Mc)),
+
+    and psi = psi_raw / norm with psi_raw o phi = norm * id (Schur), norm read
+    on the highest weight.  Over all c in the fusion range,
+    sum_c phi_c psi_c = id (completeness).
     """
     if c not in fusion_range(a, b):
         raise ValueError(f"spin {c} is not in the fusion range of {a} and {b}")
     phi = _phi_integral(a, b, c)
-    # psi_raw = (id_c (x) cap_b) o (phi(c,b;a) (x) id_b): an integral
-    # intertwiner V_a (x) V_b -> V_c via the self-duality of V_b.
-    inner = _phi_integral(c, b, a)  # V_a -> V_c (x) V_b
-    cap = _cap(b)
+    form_a, form_b = _forms(a), _forms(b)
+    factorial_c = quantum_factorial(c.twice_j)
+    inverse_c = {m: divide_exact(factorial_c, f) for m, f in _forms(c).items()}  # 1 / (e_M, e_M)
     psi_raw = TensorOperator((c,), (a, b))
-    for (mc, mb1), row in inner.rows.items():
-        for (ma,), v in row.items():
-            # contract with cap over the two V_b legs
-            cap_val = cap.entry((0,), (mb1, -mb1))
-            if cap_val.is_zero():
-                continue
-            target = psi_raw.rows.setdefault((mc,), {})
-            key = (ma, -mb1)
-            cur = target.get(key, ZERO)
-            s = cur + v * cap_val
-            if s.is_zero():
-                target.pop(key, None)
-            else:
-                target[key] = s
-    norm = psi_raw.compose(phi).proportionality_scalar()
-    if norm.is_zero():
-        raise ValueError("degenerate intertwiner pairing")
-    psi = psi_raw.scale(FractionScalar(ONE) / FractionScalar.coerce(norm))
-    return phi, psi
+    for (m1, m2), row in phi.rows.items():
+        for (mc,), v in row.items():
+            psi_raw.rows.setdefault((mc,), {})[(m1, m2)] = (
+                v * form_a[m1] * form_b[m2] * inverse_c[mc])
+    psi_raw = _primitive(psi_raw)
+    top = (c.twice_j,)
+    norm = ZERO
+    for key, v in psi_raw.rows[top].items():
+        norm = norm + v * phi.rows[key][top]
+    return phi, psi_raw.scale(FractionScalar(ONE, norm))
+
+
+def _forms(j: Spin) -> dict[int, LaurentScalar]:
+    """[2j]! (e_M, e_M) = [k]! [2j-k]! t^(E_j(M)) for each weight M of V_j;
+    with k = (M + 2j)/2, E_j(M) = 4k(k + 1 - 2j) = (M + 2j)(M - 2j + 2)."""
+    return {m: quantum_factorial((j.twice_j + m) // 2) * quantum_factorial((j.twice_j - m) // 2)
+            * LaurentScalar.monomial(1, (m + j.twice_j) * (m - j.twice_j + 2)) for m in j.weights()}

@@ -103,6 +103,24 @@ def test_pow():
         (a + ONE) ** -1
 
 
+def test_pow_multiplication_count(monkeypatch):
+    # square-and-multiply: one squaring per bit after the first, one product
+    # per set bit, and no squaring after the last bit
+    calls = []
+    mul = LaurentScalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    x = quantum_integer(2)
+    monkeypatch.setattr(LaurentScalar, "__mul__", counted)
+    for n in range(1, 9):
+        calls.clear()
+        x ** n
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1"), n
+
+
 def test_quantum_binomial_matches_factorial_ratio():
     for n in range(7):
         for k in range(n + 1):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from braidrt import uqsl2
 from braidrt.braid import ColoredBraidWord
 from braidrt.laurent import ONE, ZERO, LaurentScalar, q_power
 from braidrt.rt_engine import evaluate_rt
@@ -23,6 +24,9 @@ from braidrt.uqsl2 import (
     SPIN_ZERO,
     FractionScalar,
     Spin,
+    TensorOperator,
+    braiding,
+    cg_pair,
     fusion_range,
     qdim,
     ribbon_scalar,
@@ -94,6 +98,53 @@ def test_shadow_coefficient_fundamental_channel_eigenvalues():
             coeff = shadow_coefficient(H, H, SPIN_ZERO, H, a, H, sign)
             want = expected if sign == 1 else _inverse_monomial_like(expected)
             assert coeff == want
+
+
+def _sandwich(p, q_color, c, b, a, b_prime, sign):
+    """The five-operator composite whose Schur scalar is the coefficient."""
+    identity = TensorOperator.identity
+    op = cg_pair(b, q_color, a)[0]                                           # V_a -> V_b V_q
+    op = cg_pair(c, p, b)[0].tensor(identity((q_color,))).compose(op)        # -> V_c V_p V_q
+    op = identity((c,)).tensor(braiding(p, q_color, sign)).compose(op)       # -> V_c V_q V_p
+    op = cg_pair(c, q_color, b_prime)[1].tensor(identity((p,))).compose(op)  # -> V_b' V_p
+    return cg_pair(b_prime, p, a)[1].compose(op)                             # -> V_a
+
+
+def test_shadow_coefficient_is_the_schur_scalar_of_the_sandwich():
+    # the oracle: the explicit contraction must be a multiple of id_(V_a)
+    # (proportionality_scalar raises otherwise) equal to the one-entry sum
+    count = 0
+    for p, qc, c in itertools.product(SPINS, repeat=3):
+        for b, b_prime in itertools.product(fusion_range(c, p), fusion_range(c, qc)):
+            for a in set(fusion_range(b, qc)) & set(fusion_range(b_prime, p)):
+                for sign in (1, -1):
+                    want = _sandwich(p, qc, c, b, a, b_prime, sign).proportionality_scalar()
+                    assert shadow_coefficient(p, qc, c, b, a, b_prime, sign) == want
+                    count += 1
+    assert count == 198
+
+
+def test_evaluate_shadow_builds_no_tensor_operators(monkeypatch):
+    # coefficients come from entries of cached cg_pair/braiding operators;
+    # no operator is composed or tensored, even with every cache cold
+    b = B(3, (Spin(2),) * 3, (1, -2, -1, 2))
+    reference = evaluate_rt(b)
+    for cached in (shadow_coefficient, cg_pair, uqsl2._phi_integral, braiding):
+        cached.cache_clear()
+    calls = []
+
+    def counted(name):
+        original = getattr(TensorOperator, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapped
+
+    for name in ("compose", "tensor"):
+        monkeypatch.setattr(TensorOperator, name, counted(name))
+    assert evaluate_shadow(b) == reference
+    assert calls == []
 
 
 def _inverse_monomial_like(value):

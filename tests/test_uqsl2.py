@@ -168,7 +168,7 @@ def test_cg_singlet_of_two_fundamentals():
 
 
 def test_cg_orthogonality_and_completeness():
-    for a, b in itertools.product(SMALL_SPINS, repeat=2):
+    for a, b in itertools.product(map(Spin, range(5)), repeat=2):  # up to j = 2
         total = None
         for c in fusion_range(a, b):
             phi, psi = cg_pair(a, b, c)

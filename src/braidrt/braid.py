@@ -214,7 +214,11 @@ class LinkDiagram:
 
 def braid_to_diagram(b: ColoredBraidWord) -> LinkDiagram:
     """Planar diagram of the trace closure.  Edge ids are assigned to maximal
-    arcs between crossings; the closure identifies top arcs with bottom arcs.
+    arcs between crossings while walking the word: bottom arc k has id k and
+    each crossing gives its two outgoing arcs fresh ids.  The closure joins
+    the top arc at position k to bottom arc k, so that top arc takes id k.
+    Each arc inherits the closure component of its strand, so components
+    and crossing-free strands (free loops) come from closure_components.
 
     For a positive generator the strand at position i+1 passes over, so the
     incoming under-edge is the bottom-left one; rotating counterclockwise
@@ -224,13 +228,16 @@ def braid_to_diagram(b: ColoredBraidWord) -> LinkDiagram:
     components = closure_components(b)  # raises ColorMismatch early
     n = b.strands
     current = list(range(n))
-    next_id = n
+    component_of = [0] * n  # edge id -> index of its closure component
+    for idx, (strands, _) in enumerate(components):
+        for k in strands:
+            component_of[k] = idx
     raw: list[tuple[tuple[int, int, int, int], int]] = []
     for g in b.word:
         i = abs(g) - 1
         e_left, e_right = current[i], current[i + 1]
-        o_left, o_right = next_id, next_id + 1
-        next_id += 2
+        o_left, o_right = len(component_of), len(component_of) + 1
+        component_of += (component_of[e_right], component_of[e_left])
         if g > 0:
             slots = (e_left, e_right, o_right, o_left)
         else:
@@ -238,56 +245,15 @@ def braid_to_diagram(b: ColoredBraidWord) -> LinkDiagram:
         raw.append((slots, 1 if g > 0 else -1))
         current[i], current[i + 1] = o_left, o_right
 
-    # trace closure: top arc k is the same edge as bottom arc k
-    parent = list(range(next_id))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in range(n):
-        ra, rb = find(current[k]), find(k)
-        if ra != rb:
-            parent[ra] = rb
-
+    # trace closure: the top arc at position k (id k or a fresh id) is bottom arc k
+    closed = {current[k]: k for k in range(n)}
     crossings = tuple(
-        Crossing(tuple(find(e) for e in slots), sign) for slots, sign in raw)
-
-    # group edges into link components by strand continuation at crossings
-    edge_parent: dict[int, int] = {}
-
-    def efind(x: int) -> int:
-        edge_parent.setdefault(x, x)
-        while edge_parent[x] != x:
-            edge_parent[x] = edge_parent[edge_parent[x]]
-            x = edge_parent[x]
-        return x
-
-    def eunion(x: int, y: int) -> None:
-        rx, ry = efind(x), efind(y)
-        if rx != ry:
-            edge_parent[rx] = ry
-
+        Crossing(tuple(closed.get(e, e) for e in slots), sign) for slots, sign in raw)
+    edges: list[set[int]] = [set() for _ in components]
     for c in crossings:
-        eunion(c.slots[0], c.slots[2])
-        eunion(c.slots[1], c.slots[3])
-
-    color_of_root: dict[int, Spin] = {}
-    for k in range(n):
-        color_of_root.setdefault(efind(find(k)), b.colors[k])
-
-    crossing_edges = {e for c in crossings for e in c.slots}
-    # strands never involved in a crossing close up into standalone circles
-    free = [b.colors[k] for k in range(n) if find(k) not in crossing_edges]
-    groups: dict[int, set[int]] = {}
-    for e in crossing_edges:
-        groups.setdefault(efind(e), set()).add(e)
-
-    comp_list = []
-    for root, edges in sorted(groups.items(), key=lambda kv: min(kv[1])):
-        comp_list.append((frozenset(edges), color_of_root[efind(root)]))
-    diagram = LinkDiagram(crossings, tuple(comp_list), tuple(free))
-    diagram.validate()
-    return diagram
+        for e in c.slots:
+            edges[component_of[e]].add(e)
+    return LinkDiagram(
+        crossings,
+        tuple((frozenset(es), color) for es, (_, color) in zip(edges, components) if es),
+        tuple(color for es, (_, color) in zip(edges, components) if not es))

@@ -18,8 +18,8 @@ Conventions:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 
 class LaurentScalar:

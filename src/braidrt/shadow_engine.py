@@ -6,16 +6,17 @@ scalar recoupling coefficients.  A coupling path for external colors
 
     gamma_0 --c_1--> gamma_1 --c_2--> ... --c_n--> gamma_n,
 
-i.e. gamma_k in fusion_range(gamma_(k-1), c_k).  Expanding identity (x) A in
-the path bases and using that the mu-weighted trace of phi_g psi_h is
-delta_(g,h) [d_(gamma_n)] gives the closed formula
+i.e. gamma_k in fusion_range(gamma_(k-1), c_k), kept as the bare chain tuple.
+Expanding identity (x) A in the path bases and using that the mu-weighted
+trace of phi_g psi_h is delta_(g,h) [d_(gamma_n)] gives the closed formula
 
     w  =  sum over paths g from gamma_0 = 0 of [d_(gamma_n(g))] * M[g, g],
 
 where M is the matrix of the braid in the coupled basis.  Each elementary
-crossing acts locally on one chain entry; its matrix elements are the shadow
-coefficients below, each read as one entry <e_2a| ... |e_2a> of the
-Clebsch-Gordan maps contracted with the braiding, and cached.
+crossing acts locally on one chain entry, so its matrix elements depend only
+on the chain triple around it; they are the shadow coefficients below, each
+read as one entry <e_2a| ... |e_2a> of the Clebsch-Gordan maps contracted
+with the braiding, and cached.
 
 Shadow coefficients are exact fractions (the cg2 normalisation psi o phi = id
 forces quantum-integer denominators); every closed-trace total is a Laurent
@@ -43,26 +44,16 @@ from .uqsl2 import (
 _ZERO_FRACTION = FractionScalar(ZERO)
 
 
-@dataclass(frozen=True)
-class CouplingPath:
-    """An admissible fusion chain over the given external colors; chain[0] is
-    the starting color gamma_0 and chain[k] follows chain[k-1] by fusing in
-    colors[k-1]."""
+class CouplingPath(tuple):
+    """The chain (gamma_0, ..., gamma_n) of a coupling path.  It is not
+    checked: admissible_paths and apply_crossing build only admissible
+    chains."""
 
-    colors: tuple[Spin, ...]
-    chain: tuple[Spin, ...]
-
-    def __post_init__(self):
-        if len(self.chain) != len(self.colors) + 1:
-            raise ValueError("chain length must be number of colors + 1")
-        for k, color in enumerate(self.colors):
-            if self.chain[k + 1] not in fusion_range(self.chain[k], color):
-                raise ValueError(
-                    f"inadmissible step {self.chain[k]} --{color}--> {self.chain[k + 1]}")
+    __slots__ = ()
 
     @property
     def top(self) -> Spin:
-        return self.chain[-1]
+        return self[-1]
 
 
 def admissible_paths(
@@ -79,7 +70,7 @@ def admissible_paths(
             yield from extend(chain + (nxt,), k + 1)
 
     for chain in extend((gamma0,), 0):
-        yield CouplingPath(colors, chain)
+        yield CouplingPath(chain)
 
 
 @lru_cache(maxsize=None)
@@ -131,14 +122,12 @@ def shadow_coefficient(
 @dataclass(frozen=True)
 class ShadowState:
     """Amplitudes of the partially evaluated braid in the coupled basis:
-    a map (outgoing path, incoming path) -> scalar.  Incoming paths live on
-    colors_in (fixed), outgoing paths on colors_out (tracking the strand
-    permutation so far).  Only admissible pairs with equal endpoints carry
-    amplitude; support is finite."""
+    a map (outgoing path, incoming path) -> scalar.  Outgoing paths live on
+    colors_out (tracking the strand permutation so far), incoming paths on
+    the colors the state started from.  Only admissible pairs with equal
+    endpoints carry amplitude; support is finite."""
 
-    colors_in: tuple[Spin, ...]
     colors_out: tuple[Spin, ...]
-    gamma0: Spin
     amplitudes: dict[tuple[CouplingPath, CouplingPath], FractionScalar]
 
 
@@ -150,34 +139,34 @@ def initial_state(colors: Iterable[Spin], gamma0: Spin = SPIN_ZERO) -> ShadowSta
     color budget sum(colors); a gamma0 beyond it yields the empty state."""
     colors = tuple(colors)
     if gamma0.twice_j > sum(c.twice_j for c in colors):
-        return ShadowState(colors, colors, gamma0, {})
-    amplitudes = {
-        (path, path): FractionScalar.coerce(LaurentScalar.one())
-        for path in admissible_paths(colors, gamma0)
-    }
-    return ShadowState(colors, colors, gamma0, amplitudes)
+        return ShadowState(colors, {})
+    one = FractionScalar.coerce(LaurentScalar.one())
+    return ShadowState(colors, {(path, path): one for path in admissible_paths(colors, gamma0)})
 
 
 def apply_crossing(state: ShadowState, slot: int, sign: int) -> ShadowState:
     """Compose the state with one crossing of the strands at positions
-    (slot, slot+1), 1-based, of the current outgoing colors."""
+    (slot, slot+1), 1-based, of the current outgoing colors.  The nonzero
+    (new_mid, coefficient) targets of a chain triple (below, mid, above) at
+    the slot are looked up once per triple."""
     n = len(state.colors_out)
     if not 1 <= slot <= n - 1:
         raise ValueError(f"slot {slot} out of range for {n} strands")
     colors = state.colors_out
     p, q_color = colors[slot - 1], colors[slot]
     new_colors = colors[:slot - 1] + (q_color, p) + colors[slot + 1:]
+    targets: dict[tuple[Spin, ...], list[tuple[Spin, FractionScalar]]] = {}
     amplitudes: dict[tuple[CouplingPath, CouplingPath], FractionScalar] = {}
     for (out_path, in_path), amp in state.amplitudes.items():
-        chain = out_path.chain
-        below, mid, above = chain[slot - 1], chain[slot], chain[slot + 1]
-        for new_mid in fusion_range(below, q_color):
-            coeff = shadow_coefficient(p, q_color, below, mid, above, new_mid, sign)
-            if coeff.is_zero():
-                continue
-            new_chain = chain[:slot] + (new_mid,) + chain[slot + 1:]
-            new_path = CouplingPath(new_colors, new_chain)
-            key = (new_path, in_path)
+        triple = out_path[slot - 1:slot + 2]
+        row = targets.get(triple)
+        if row is None:
+            below, mid, above = triple
+            coeffs = ((new_mid, shadow_coefficient(p, q_color, below, mid, above, new_mid, sign))
+                      for new_mid in fusion_range(below, q_color))
+            row = targets[triple] = [(m, c) for m, c in coeffs if not c.is_zero()]
+        for new_mid, coeff in row:
+            key = (CouplingPath(out_path[:slot] + (new_mid,) + out_path[slot + 1:]), in_path)
             cur = amplitudes.get(key)
             term = coeff * amp
             total = term if cur is None else cur + term
@@ -185,7 +174,7 @@ def apply_crossing(state: ShadowState, slot: int, sign: int) -> ShadowState:
                 amplitudes.pop(key, None)
             else:
                 amplitudes[key] = total
-    return ShadowState(state.colors_in, new_colors, state.gamma0, amplitudes)
+    return ShadowState(new_colors, amplitudes)
 
 
 def evaluate_shadow(b: ColoredBraidWord) -> LaurentScalar:

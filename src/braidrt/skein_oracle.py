@@ -67,20 +67,21 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentScalar:
         s = [index[e] for e in c.slots]
         plans.append((((s[0], s[1]), (s[2], s[3])), ((s[0], s[3]), (s[1], s[2]))))
 
-    total = LaurentScalar.zero()
     m = len(crossings)
     parent = list(range(n_edges))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # states per (A-count, loop count); each contributes A^(#A - #B) delta^loops
+    counts: dict[tuple[int, int], int] = {}
     for state in range(1 << m):
-        for i in range(n_edges):
-            parent[i] = i
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        parent[:] = range(n_edges)
         a_count = 0
+        loops = n_edges + len(d.free_loops)
         for k in range(m):
             use_a = not (state >> k) & 1
             a_count += use_a
@@ -88,8 +89,11 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentScalar:
                 rx, ry = find(x), find(y)
                 if rx != ry:
                     parent[rx] = ry
-        loops = sum(1 for i in range(n_edges) if find(i) == i) + len(d.free_loops)
-        weight = LaurentScalar.monomial(1, A_EXPONENT * (2 * a_count - m))
+                    loops -= 1
+        counts[a_count, loops] = counts.get((a_count, loops), 0) + 1
+    total = LaurentScalar.zero()
+    for (a_count, loops), count in counts.items():
+        weight = LaurentScalar.monomial(count, A_EXPONENT * (2 * a_count - m))
         total = total + weight * _LOOP ** loops
     return total
 

@@ -530,13 +530,11 @@ def _primitive(op: TensorOperator) -> TensorOperator:
     return out
 
 
-@lru_cache(maxsize=None)
 def _phi_integral(a: Spin, b: Spin, c: Spin) -> TensorOperator:
     """Integral injection V_c -> V_a (x) V_b: the column for e_(c, c-k) is
     [2c-k]! * D(F)^k (highest-weight vector), rescaled to primitive form.
-    For (a, 0, a) and (0, a, a) this is exactly the identity reindexing."""
-    if c not in fusion_range(a, b):
-        raise ValueError(f"spin {c} is not in the fusion range of {a} and {b}")
+    For (a, 0, a) and (0, a, a) this is exactly the identity reindexing.
+    Only the cached cg_pair calls it, after checking c in fusion_range(a, b)."""
     op = TensorOperator((a, b), (c,))
     vec = _highest_weight_vector(a, b, c)
     for k in range(c.dimension):

@@ -1,0 +1,8 @@
+"""Suite-wide hypothesis settings: a fixed set of examples per property, no
+per-example deadline (timings vary with the host) and no example database,
+so every run checks the same cases and leaves no .hypothesis/ behind."""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")

@@ -1,6 +1,8 @@
 """Braid presentations: closures, writhes, Markov moves, planar diagrams."""
 
 import pytest
+from hypothesis import given
+from strategies import colored_braids
 
 from braidrt.braid import (
     ColoredBraidWord,
@@ -131,6 +133,20 @@ def test_braid_to_diagram_edge_count():
     edges = {e for c in d.crossings for e in c.slots}
     # closure identifies 2 of the 2 + 2*len(word) arcs pairwise
     assert len(edges) == 2 * len(b.word)
+
+
+@given(colored_braids(max_strands=6, max_length=12, max_twice_j=3))
+def test_diagram_matches_closure_components(b):
+    # a strand is a free loop exactly when no letter touches its position
+    d = braid_to_diagram(b)
+    d.validate()
+    touched = {abs(g) - 1 for g in b.word} | {abs(g) for g in b.word}
+    closed = closure_components(b)
+    assert [color for _, color in d.components] == [
+        color for strands, color in closed if strands & touched]
+    assert list(d.free_loops) == [color for strands, color in closed if not strands & touched]
+    assert sum(len(edges) for edges, _ in d.components) == 2 * len(b.word)
+    assert d.self_writhe() == sum(writhe_per_component(b))
 
 
 def test_diagram_validation_rejects_bad_multiplicity():

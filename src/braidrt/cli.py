@@ -311,11 +311,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "invariant":
-        outputs = []
+        printed = False
         for spec_text in _iter_specs(args.spec):
             try:
                 braid = parse_braid_spec(spec_text)
-                outputs.append(run_invariant(braid, args.pipeline, args.format))
+                output = run_invariant(braid, args.pipeline, args.format)
             except (ParseError, SemanticError, ColorMismatch, ValueError) as exc:
                 kind = ("parse" if isinstance(exc, ParseError)
                         else "semantic" if isinstance(exc, SemanticError)
@@ -326,7 +326,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                 else:
                     print(f"error ({kind}): {exc}  [spec: {spec_text}]", file=sys.stderr)
                 return 1
-        print("\n\n".join(outputs) if args.format == "text" else "\n".join(outputs))
+            # text results are separated by one blank line, json results by none
+            if printed and args.format == "text":
+                print()
+            print(output, flush=True)
+            printed = True
+        if not printed:
+            print()
         return 0
 
     report, all_pass = run_crosscheck(

@@ -2,14 +2,19 @@
 
 This module shares no evaluation machinery with the braiding pipelines: it
 only touches LinkDiagram combinatorics and the Laurent ring.  The bracket is
-the naive 2^(#crossings) state sum
+the state sum
 
     <D>  =  sum over smoothings  A^(#A - #B) * delta^(#loops),
     delta = -A^2 - A^(-2),
 
-with the empty diagram worth 1 and a crossing-free circle worth delta.  The
-bracket variable is embedded into the t = q^(1/4) lattice as a fixed monomial
-A = q^(A_EXPONENT/4).
+with the empty diagram worth 1 and a crossing-free circle worth delta.  It is
+computed by one sweep over the crossings (the Temperley-Lieb pairing sweep of
+Kauffman-Lins, 1994, ch. 2): each crossing's A- and B-smoothings rewrite the
+pairing of the open edges, and each closed loop contributes delta at once.
+The cost is linear in the crossing count and exponential only in the number
+of open edges; for a braid closure swept in word order that is at most
+2 * strands.  The bracket variable is embedded into the t = q^(1/4) lattice
+as a fixed monomial A = q^(A_EXPONENT/4).
 
 The oracle's Jones value is pinned, not assumed: the embedding and overall
 normalisation are fixed by requiring (i) the unknot value q + q^(-1) and
@@ -40,7 +45,8 @@ from .uqsl2 import SPIN_HALF
 #: value and breaks the trefoil cross-check against the braiding engines).
 A_EXPONENT = -2
 
-_A2 = LaurentScalar.monomial(1, 2 * A_EXPONENT)
+_A = LaurentScalar.monomial(1, A_EXPONENT)
+_A_INV = LaurentScalar.monomial(1, -A_EXPONENT)
 _LOOP = LaurentScalar.monomial(-1, 2 * A_EXPONENT) + LaurentScalar.monomial(-1, -2 * A_EXPONENT)
 
 
@@ -51,51 +57,31 @@ def _require_fundamental(d: LinkDiagram) -> None:
 
 
 def kauffman_bracket(d: LinkDiagram) -> LaurentScalar:
-    """Full state expansion of the bracket; exact in Z[t, t^-1]."""
+    """The bracket by one sweep over d.crossings in the given order; exact
+    in Z[t, t^-1].  A state maps the pairing of the open edges (met at one
+    swept crossing; each is paired with the open edge at the other end of
+    its arc through the smoothed part) to its coefficient."""
     _require_fundamental(d)
-    crossings = d.crossings
-    if not crossings:
-        return _LOOP ** (len(d.free_loops))
-    edge_ids = sorted({e for c in crossings for e in c.slots})
-    index = {e: i for i, e in enumerate(edge_ids)}
-    n_edges = len(edge_ids)
-
-    # Precompute the two merge plans per crossing: the A-smoothing joins
-    # slots (0-1) and (2-3), the B-smoothing slots (0-3) and (1-2).
-    plans = []
-    for c in crossings:
-        s = [index[e] for e in c.slots]
-        plans.append((((s[0], s[1]), (s[2], s[3])), ((s[0], s[3]), (s[1], s[2]))))
-
-    m = len(crossings)
-    parent = list(range(n_edges))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # states per (A-count, loop count); each contributes A^(#A - #B) delta^loops
-    counts: dict[tuple[int, int], int] = {}
-    for state in range(1 << m):
-        parent[:] = range(n_edges)
-        a_count = 0
-        loops = n_edges + len(d.free_loops)
-        for k in range(m):
-            use_a = not (state >> k) & 1
-            a_count += use_a
-            for x, y in plans[k][0 if use_a else 1]:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
-                    loops -= 1
-        counts[a_count, loops] = counts.get((a_count, loops), 0) + 1
-    total = LaurentScalar.zero()
-    for (a_count, loops), count in counts.items():
-        weight = LaurentScalar.monomial(count, A_EXPONENT * (2 * a_count - m))
-        total = total + weight * _LOOP ** loops
-    return total
+    states: dict[tuple[tuple[int, int], ...], LaurentScalar] = {(): LaurentScalar.one()}
+    for c in d.crossings:
+        s0, s1, s2, s3 = c.slots
+        smoothings = ((_A, ((s0, s1), (s2, s3))), (_A_INV, ((s0, s3), (s1, s2))))
+        swept: dict[tuple[tuple[int, int], ...], LaurentScalar] = {}
+        for pairing, coeff in states.items():
+            for weight, joins in smoothings:
+                partner = dict(pairing)
+                value = coeff * weight
+                for x, y in joins:
+                    ex, ey = partner.pop(x, x), partner.pop(y, y)
+                    if ex == y:  # the join closes a loop
+                        value = value * _LOOP
+                    else:
+                        partner[ex], partner[ey] = ey, ex
+                key = tuple(sorted(partner.items()))
+                swept[key] = swept[key] + value if key in swept else value
+        states = swept
+    # every edge meets two crossings, so only the empty pairing is left
+    return states[()] * _LOOP ** len(d.free_loops)
 
 
 def jones_unnormalized(d: LinkDiagram) -> LaurentScalar:

@@ -317,9 +317,6 @@ class TensorOperator:
                 out.rows[r] = acc
         return out
 
-    def __sub__(self, other: TensorOperator) -> TensorOperator:
-        return self + other.scale(LaurentScalar.from_int(-1))
-
     def scale(self, scalar: ScalarLike) -> TensorOperator:
         out = TensorOperator(self.row_spins, self.col_spins)
         if scalar.is_zero():
@@ -381,31 +378,6 @@ def quantum_trace(op: TensorOperator) -> LaurentScalar:
         weight = LaurentScalar.monomial(1, 4 * sum(r))  # q^(2m) per factor
         total = total + v * weight
     return total
-
-
-def partial_quantum_trace_last(op: TensorOperator) -> TensorOperator:
-    """Partial quantum trace over the last tensor factor: contract the final
-    leg of a square operator with a mu insertion.  Closing one strand of a
-    braiding this way produces the ribbon scalar (the kink identity)."""
-    if not op.is_square() or not op.row_spins:
-        raise ValueError("partial trace needs a square operator with at least one factor")
-    rest = op.row_spins[:-1]
-    out = TensorOperator(rest, rest)
-    for r, row in op.rows.items():
-        for c, v in row.items():
-            if r[-1] != c[-1]:
-                continue
-            weight = LaurentScalar.monomial(1, 4 * r[-1])
-            target = out.rows.setdefault(r[:-1], {})
-            key = c[:-1]
-            cur = target.get(key)
-            s = v * weight if cur is None else cur + v * weight
-            if s.is_zero():
-                target.pop(key, None)
-            else:
-                target[key] = s
-    out.rows = {r: row for r, row in out.rows.items() if row}
-    return out
 
 
 def mu_operator(j: Spin) -> TensorOperator:

@@ -7,16 +7,17 @@ from braidrt.uqsl2 import SPIN_HALF, Spin
 
 
 @st.composite
-def colored_braids(draw, max_strands: int, max_length: int, max_twice_j: int):
+def colored_braids(draw, max_strands: int, max_length: int, max_twice_j: int,
+                   min_twice_j: int = 0):
     """A braid word on 1..max_strands strands with one spin (twice_j in
-    0..max_twice_j) drawn per closure component, so its coloring is always
-    consistent."""
+    min_twice_j..max_twice_j) drawn per closure component, so its coloring is
+    always consistent."""
     n = draw(st.integers(1, max_strands))
     gens = [i for i in range(1, n)] + [-i for i in range(1, n)]
     word = draw(st.lists(st.sampled_from(gens), max_size=max_length)) if gens else []
     colors = [SPIN_HALF] * n
     for strands, _ in closure_components(ColoredBraidWord(n, colors, word)):
-        spin = Spin(draw(st.integers(0, max_twice_j)))
+        spin = Spin(draw(st.integers(min_twice_j, max_twice_j)))
         for k in strands:
             colors[k] = spin
     return ColoredBraidWord(n, colors, word)

@@ -1,6 +1,8 @@
 """CLI surface: the braid grammar, output contracts, determinism, exit codes."""
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -111,6 +113,25 @@ def test_main_invariant_exit_codes(capsys, tmp_path):
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert len(lines) >= 2
     assert json.loads(lines[-2])["components"] == 1
+
+
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_batch_prints_results_before_a_failing_spec(tmp_path, monkeypatch, output_format):
+    unknot = "n=1; colors=1/2; word="
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"{TREFOIL}\n{unknot}\nn=2; colors=1/2,1; word=+1\n")
+    # one stream for both, so the test sees the order a terminal shows
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    monkeypatch.setattr(sys, "stderr", stream)
+    assert main(["invariant", "--spec", str(batch), "--format", output_format]) == 1
+    results = [run_invariant(parse_braid_spec(s), "rt", output_format) for s in (TREFOIL, unknot)]
+    separator = "\n\n" if output_format == "text" else "\n"
+    head = separator.join(results) + "\n"
+    out = stream.getvalue()
+    assert out.startswith(head)
+    error = out[len(head):]
+    assert error.count("\n") == 1 and "coloring" in error
 
 
 def test_main_crosscheck(capsys):

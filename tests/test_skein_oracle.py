@@ -1,10 +1,16 @@
-"""The bracket/Jones oracle: its own invariance suite and frozen values."""
+"""The bracket/Jones oracle: its own invariance suite and frozen values.
 
+The bracket itself is checked against `state_sum_bracket`, the plain
+2^(#crossings) state sum, on every diagram small enough for it."""
+
+import dataclasses
 import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
-from braidrt.braid import ColoredBraidWord, braid_to_diagram
+from braidrt.braid import ColoredBraidWord, LinkDiagram, braid_to_diagram
 from braidrt.laurent import LaurentScalar, divide_exact, q_power
 from braidrt.skein_oracle import (
     A_EXPONENT,
@@ -13,6 +19,8 @@ from braidrt.skein_oracle import (
     skein_triple,
 )
 from braidrt.uqsl2 import SPIN_HALF, SPIN_ONE, Spin
+
+from strategies import colored_braids
 
 H = SPIN_HALF
 B = ColoredBraidWord
@@ -27,6 +35,54 @@ def rand_braid(rng, max_strands=4, max_length=7, min_length=0, min_strands=1):
     return B(n, (H,) * n, tuple(rng.choice(gens) for _ in range(length)))
 
 
+def state_sum_bracket(d: LinkDiagram) -> LaurentScalar:
+    """The bracket as the full sum over all 2^m smoothings, each counted by
+    union-find; the reference the sweep in kauffman_bracket is tested against."""
+    crossings = d.crossings
+    if not crossings:
+        return DELTA ** (len(d.free_loops))
+    edge_ids = sorted({e for c in crossings for e in c.slots})
+    index = {e: i for i, e in enumerate(edge_ids)}
+    n_edges = len(edge_ids)
+
+    # Precompute the two merge plans per crossing: the A-smoothing joins
+    # slots (0-1) and (2-3), the B-smoothing slots (0-3) and (1-2).
+    plans = []
+    for c in crossings:
+        s = [index[e] for e in c.slots]
+        plans.append((((s[0], s[1]), (s[2], s[3])), ((s[0], s[3]), (s[1], s[2]))))
+
+    m = len(crossings)
+    parent = list(range(n_edges))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # states per (A-count, loop count); each contributes A^(#A - #B) delta^loops
+    counts: dict[tuple[int, int], int] = {}
+    for state in range(1 << m):
+        parent[:] = range(n_edges)
+        a_count = 0
+        loops = n_edges + len(d.free_loops)
+        for k in range(m):
+            use_a = not (state >> k) & 1
+            a_count += use_a
+            for x, y in plans[k][0 if use_a else 1]:
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[rx] = ry
+                    loops -= 1
+        counts[a_count, loops] = counts.get((a_count, loops), 0) + 1
+    total = LaurentScalar.zero()
+    for (a_count, loops), count in counts.items():
+        weight = LaurentScalar.monomial(count, A_EXPONENT * (2 * a_count - m))
+        total = total + weight * DELTA ** loops
+    return total
+
+
 def test_bracket_unknot_is_loop_value():
     d = braid_to_diagram(B(1, (H,), ()))
     assert kauffman_bracket(d) == DELTA
@@ -39,15 +95,41 @@ def test_bracket_unlink_is_delta_squared():
 
 
 def test_bracket_trefoil_eight_states():
-    # the 8-state sum is the oracle's own ground truth; against the classical
-    # delta^(loops - 1) convention it carries one extra loop factor
+    # the frozen value of the braid trefoil, read by the sweep and by the
+    # 8-state sum alike; against the classical delta^(loops - 1) convention
+    # it carries one extra loop factor
     d = braid_to_diagram(B(2, (H, H), (1, 1, 1)))
-    bracket = kauffman_bracket(d)
-    reduced = divide_exact(bracket, DELTA)
     # under this module's smoothing assignment the all-positive braid trefoil
     # carries the bracket A^7 - A^3 - A^-5 (the mirror of the textbook
     # normalisation, absorbed by the A embedding)
-    assert reduced == (A ** 7) - (A ** 3) - (A ** -5)
+    frozen = (A ** 7) - (A ** 3) - (A ** -5)
+    for bracket in (kauffman_bracket(d), state_sum_bracket(d)):
+        assert divide_exact(bracket, DELTA) == frozen
+
+
+@given(colored_braids(max_strands=6, max_length=10, min_twice_j=1, max_twice_j=1),
+       st.randoms(use_true_random=False))
+def test_bracket_sweep_matches_state_sum(b, rng):
+    d = braid_to_diagram(b)
+    expected = state_sum_bracket(d)
+    assert kauffman_bracket(d) == expected
+    # the crossing order sets only the cost of the sweep, never its value
+    shuffled = list(d.crossings)
+    rng.shuffle(shuffled)
+    assert kauffman_bracket(dataclasses.replace(d, crossings=tuple(shuffled))) == expected
+
+
+@pytest.mark.parametrize("strands, word, budget_s", [
+    (6, (1, -2, 3, -4, 5, 2, -1, 3, 4, -5, 1, 2, -3, 4, 5, -2), 0.25),
+    (3, (1, -2) * 14, 1.0),
+])
+def test_bracket_time_is_linear_in_crossings(strands, word, budget_s):
+    # 2^16 and 2^28 smoothings; the sweep keeps at most the pairings of
+    # 2 * strands open edges
+    d = braid_to_diagram(B(strands, (H,) * strands, word))
+    started = time.perf_counter()
+    kauffman_bracket(d)
+    assert time.perf_counter() - started < budget_s
 
 
 def test_bracket_rejects_non_fundamental():

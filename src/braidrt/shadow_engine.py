@@ -19,18 +19,23 @@ read as one entry <e_2a| ... |e_2a> of the Clebsch-Gordan maps contracted
 with the braiding, and cached.
 
 Shadow coefficients are exact fractions (the cg2 normalisation psi o phi = id
-forces quantum-integer denominators); every closed-trace total is a Laurent
-polynomial and is returned as one.
+forces quantum-integer denominators), but the state holds none: in the
+fraction-free manner of Bareiss (Math. Comp. 22, 1968) every amplitude is a
+Laurent numerator over one denominator D shared by the whole state.  A
+crossing scales its coefficients to the lcm L of their denominators and sets
+D <- D L, so amplitudes only multiply and add Laurent polynomials, and the
+closed-trace total, a Laurent polynomial, is one exact division by D.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .braid import ColoredBraidWord, closure_components
-from .laurent import ZERO, LaurentScalar
+from .laurent import ONE, ZERO, LaurentScalar, divide_exact, gcd
 from .uqsl2 import (
     SPIN_ZERO,
     FractionScalar,
@@ -122,13 +127,37 @@ def shadow_coefficient(
 @dataclass(frozen=True)
 class ShadowState:
     """Amplitudes of the partially evaluated braid in the coupled basis:
-    a map (outgoing path, incoming path) -> scalar.  Outgoing paths live on
-    colors_out (tracking the strand permutation so far), incoming paths on
-    the colors the state started from.  Only admissible pairs with equal
-    endpoints carry amplitude; support is finite."""
+    a map (outgoing path, incoming path) -> numerator, over one denominator
+    shared by every amplitude.  Outgoing paths live on colors_out (tracking
+    the strand permutation so far), incoming paths on the colors the state
+    started from.  Only admissible pairs with equal endpoints carry
+    amplitude; support is finite."""
 
     colors_out: tuple[Spin, ...]
-    amplitudes: dict[tuple[CouplingPath, CouplingPath], FractionScalar]
+    numerators: dict[tuple[CouplingPath, CouplingPath], LaurentScalar]
+    denominator: LaurentScalar = ONE
+
+    @property
+    def amplitudes(self) -> Mapping[tuple[CouplingPath, CouplingPath], FractionScalar]:
+        """The true amplitudes, as a read-only view that makes the fraction
+        numerator / denominator only when a value is read."""
+        return _Amplitudes(self.numerators, self.denominator)
+
+
+class _Amplitudes(Mapping):
+    __slots__ = ("_numerators", "_denominator")
+
+    def __init__(self, numerators: dict, denominator: LaurentScalar):
+        self._numerators, self._denominator = numerators, denominator
+
+    def __getitem__(self, key) -> FractionScalar:
+        return FractionScalar(self._numerators[key], self._denominator)
+
+    def __iter__(self):
+        return iter(self._numerators)
+
+    def __len__(self) -> int:
+        return len(self._numerators)
 
 
 def initial_state(colors: Iterable[Spin], gamma0: Spin = SPIN_ZERO) -> ShadowState:
@@ -140,15 +169,28 @@ def initial_state(colors: Iterable[Spin], gamma0: Spin = SPIN_ZERO) -> ShadowSta
     colors = tuple(colors)
     if gamma0.twice_j > sum(c.twice_j for c in colors):
         return ShadowState(colors, {})
-    one = FractionScalar.coerce(LaurentScalar.one())
-    return ShadowState(colors, {(path, path): one for path in admissible_paths(colors, gamma0)})
+    return ShadowState(colors, {(path, path): ONE for path in admissible_paths(colors, gamma0)})
+
+
+@lru_cache(maxsize=None)
+def _common_denominator(dens: frozenset[LaurentScalar]) -> tuple[LaurentScalar, dict]:
+    """The lcm L of a set of canonical denominators, and L / den for each."""
+    lcm = ONE
+    for den in dens:
+        lcm = lcm * divide_exact(den, gcd(lcm, den))
+    return lcm, {den: divide_exact(lcm, den) for den in dens}
 
 
 def apply_crossing(state: ShadowState, slot: int, sign: int) -> ShadowState:
     """Compose the state with one crossing of the strands at positions
-    (slot, slot+1), 1-based, of the current outgoing colors.  The nonzero
-    (new_mid, coefficient) targets of a chain triple (below, mid, above) at
-    the slot are looked up once per triple."""
+    (slot, slot+1), 1-based, of the current outgoing colors.
+
+    The nonzero (new_mid, coefficient) targets of each chain triple
+    (below, mid, above) at the slot are looked up once per triple.  With L
+    the lcm of the denominators of all those coefficients (cached on that
+    set, so a warm crossing computes no gcd), each coefficient becomes the
+    Laurent polynomial coefficient * L, the amplitude numerators are
+    multiplied and summed with them, and the state denominator becomes D L."""
     n = len(state.colors_out)
     if not 1 <= slot <= n - 1:
         raise ValueError(f"slot {slot} out of range for {n} strands")
@@ -156,30 +198,35 @@ def apply_crossing(state: ShadowState, slot: int, sign: int) -> ShadowState:
     p, q_color = colors[slot - 1], colors[slot]
     new_colors = colors[:slot - 1] + (q_color, p) + colors[slot + 1:]
     targets: dict[tuple[Spin, ...], list[tuple[Spin, FractionScalar]]] = {}
-    amplitudes: dict[tuple[CouplingPath, CouplingPath], FractionScalar] = {}
-    for (out_path, in_path), amp in state.amplitudes.items():
+    for out_path, _ in state.numerators:
         triple = out_path[slot - 1:slot + 2]
-        row = targets.get(triple)
-        if row is None:
+        if triple not in targets:
             below, mid, above = triple
             coeffs = ((new_mid, shadow_coefficient(p, q_color, below, mid, above, new_mid, sign))
                       for new_mid in fusion_range(below, q_color))
-            row = targets[triple] = [(m, c) for m, c in coeffs if not c.is_zero()]
-        for new_mid, coeff in row:
+            targets[triple] = [(m, c) for m, c in coeffs if not c.is_zero()]
+    lcm, scale = _common_denominator(
+        frozenset(c.den for row in targets.values() for _, c in row))
+    rows = {triple: [(m, c.num * scale[c.den]) for m, c in row]
+            for triple, row in targets.items()}
+    numerators: dict[tuple[CouplingPath, CouplingPath], LaurentScalar] = {}
+    for (out_path, in_path), amp in state.numerators.items():
+        for new_mid, coeff in rows[out_path[slot - 1:slot + 2]]:
             key = (CouplingPath(out_path[:slot] + (new_mid,) + out_path[slot + 1:]), in_path)
-            cur = amplitudes.get(key)
+            cur = numerators.get(key)
             term = coeff * amp
             total = term if cur is None else cur + term
             if total.is_zero():
-                amplitudes.pop(key, None)
+                numerators.pop(key, None)
             else:
-                amplitudes[key] = total
-    return ShadowState(new_colors, amplitudes)
+                numerators[key] = total
+    return ShadowState(new_colors, numerators, state.denominator * lcm)
 
 
 def evaluate_shadow(b: ColoredBraidWord) -> LaurentScalar:
     """The closed-braid invariant w via the path state sum: fold the word
-    through apply_crossing and close with the [d_(gamma_n)]-weighted diagonal.
+    through apply_crossing and close with the [d_(gamma_n)]-weighted diagonal
+    of the numerators, divided once, exactly, by the state denominator.
 
     Agrees exactly with the tensor-trace pipeline on every braid.
     """
@@ -187,8 +234,8 @@ def evaluate_shadow(b: ColoredBraidWord) -> LaurentScalar:
     state = initial_state(b.colors, SPIN_ZERO)
     for g in b.word:
         state = apply_crossing(state, abs(g), 1 if g > 0 else -1)
-    total = _ZERO_FRACTION
-    for (out_path, in_path), amp in state.amplitudes.items():
+    total = ZERO
+    for (out_path, in_path), amp in state.numerators.items():
         if out_path == in_path:
             total = total + amp * qdim(out_path.top)
-    return total.to_laurent()
+    return divide_exact(total, state.denominator)

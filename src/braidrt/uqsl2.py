@@ -40,15 +40,14 @@ contravariant form (e_M, e_M) = t^(E_j(M)) / qbinom(2j, k) on each V_j
 on V_a (x) V_b, and the adjoint of an intertwiner is an intertwiner.
 Hom(V_a (x) V_b, V_c) is one-dimensional, so normalising psi o phi = id
 fixes psi; that forces denominators.  They live in FractionScalar, an exact
-fraction layer over the Laurent ring used only inside the Clebsch-Gordan
-normalisation (the shadow pipeline); all externally visible invariants remain
-Laurent polynomials.
+fraction layer over the Laurent ring used only by the cold, cached builds of
+the Clebsch-Gordan pairs and of the shadow coefficients; the shadow state and
+all externally visible invariants are Laurent polynomials.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
@@ -68,16 +67,20 @@ from .laurent import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Spin:
+class Spin(int):
     """Label of an irreducible representation: a non-negative half-integer j,
-    stored as twice_j to stay integral."""
+    stored as the int twice_j to stay integral.  Being an int, a Spin hashes
+    and compares in C (chain tuples of spins are the shadow state's keys),
+    and Spin(1) == 1."""
 
-    twice_j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.twice_j < 0:
+    def __new__(cls, twice_j: int) -> Spin:
+        if twice_j < 0:
             raise ValueError("spin must be a non-negative half-integer")
+        return int.__new__(cls, twice_j)
+
+    twice_j = int.real
 
     @property
     def dimension(self) -> int:
@@ -99,6 +102,9 @@ class Spin:
 
     def __str__(self) -> str:
         return str(self.twice_j // 2) if self.twice_j % 2 == 0 else f"{self.twice_j}/2"
+
+    def __repr__(self) -> str:
+        return f"Spin(twice_j={self.twice_j})"
 
 
 SPIN_ZERO = Spin(0)
@@ -182,24 +188,14 @@ class FractionScalar:
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> FractionScalar:
-        return self + (-FractionScalar.coerce(other))
-
-    def __neg__(self) -> FractionScalar:
-        out = FractionScalar.__new__(FractionScalar)
-        out.num, out.den = -self.num, self.den
-        return out
+        o = FractionScalar.coerce(other)
+        return FractionScalar(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __mul__(self, other: ScalarLike) -> FractionScalar:
         o = FractionScalar.coerce(other)
         return FractionScalar(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: ScalarLike) -> FractionScalar:
-        o = FractionScalar.coerce(other)
-        if o.num.is_zero():
-            raise ZeroDivisionError
-        return FractionScalar(self.num * o.den, self.den * o.num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FractionScalar):
@@ -209,9 +205,6 @@ class FractionScalar:
         if isinstance(other, int):
             return self.num == LaurentScalar.from_int(other) * self.den
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         return str(self.num) if self.den.is_one() else f"({self.num}) / ({self.den})"

@@ -8,13 +8,15 @@ from braidrt.uqsl2 import SPIN_HALF, Spin
 
 @st.composite
 def colored_braids(draw, max_strands: int, max_length: int, max_twice_j: int,
-                   min_twice_j: int = 0):
-    """A braid word on 1..max_strands strands with one spin (twice_j in
-    min_twice_j..max_twice_j) drawn per closure component, so its coloring is
-    always consistent."""
-    n = draw(st.integers(1, max_strands))
+                   min_twice_j: int = 0, min_strands: int = 1, min_length: int = 0):
+    """A braid word on min_strands..max_strands strands with one spin (twice_j
+    in min_twice_j..max_twice_j) drawn per closure component, so its coloring
+    is always consistent.  min_length applies when there are two strands or
+    more."""
+    n = draw(st.integers(min_strands, max_strands))
     gens = [i for i in range(1, n)] + [-i for i in range(1, n)]
-    word = draw(st.lists(st.sampled_from(gens), max_size=max_length)) if gens else []
+    word = draw(st.lists(st.sampled_from(gens), min_size=min_length,
+                         max_size=max_length)) if gens else []
     colors = [SPIN_HALF] * n
     for strands, _ in closure_components(ColoredBraidWord(n, colors, word)):
         spin = Spin(draw(st.integers(min_twice_j, max_twice_j)))

@@ -3,10 +3,14 @@
 import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidrt.cli import (
+    PIPELINES,
     ParseError,
     SemanticError,
     main,
@@ -156,3 +160,48 @@ def test_crosscheck_length_zero_only_runs_empty_words(capsys):
     code = main(["crosscheck", "--max-strands", "2", "--max-length", "0",
                  "--seed", "1", "--samples", "4"])
     assert code == 0
+
+
+@pytest.mark.parametrize("option, value", [("--max-length", "-1"), ("--max-strands", "0"),
+                                           ("--samples", "-1")])
+def test_crosscheck_rejects_out_of_range_sizes(capsys, option, value):
+    assert main(["crosscheck", option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and option in captured.err
+
+
+@st.composite
+def spec_texts(draw):
+    """Spec lines, valid or not: strand counts from -1 to 3, n or up to 3
+    colors of spin at most 1 (some unparsable), up to 3 letters (some out of
+    range)."""
+    n = draw(st.integers(-1, 3))
+    spins = st.sampled_from(["0", "1/2", "1"]) | st.sampled_from(["-1", "3/4", "x", ""])
+    colors = draw(st.lists(spins, min_size=max(n, 0), max_size=max(n, 0))
+                  | st.lists(spins, max_size=3))
+    word = draw(st.lists(st.integers(-3, 3), max_size=3))
+    return f"n={n}; colors={','.join(colors)}; word={' '.join(f'{g:+d}' for g in word)}"
+
+
+crosscheck_argvs = st.builds(
+    lambda strands, length, samples, spin, seed: [
+        "crosscheck", "--max-strands", str(strands), "--max-length", str(length),
+        "--samples", str(samples), "--max-spin", spin, "--seed", str(seed)],
+    st.integers(-2, 3), st.integers(-2, 3), st.integers(-2, 2),
+    st.sampled_from(["0", "1/2", "1"]), st.integers(0, 9))
+
+# st.text stays under 21 characters: too short to spell a spec whose
+# evaluation could take long
+invariant_argvs = st.builds(
+    lambda spec, pipeline, output_format: [
+        "invariant", f"--spec={spec}", "--pipeline", pipeline, "--format", output_format],
+    st.one_of(spec_texts(), st.text(max_size=20)), st.sampled_from(PIPELINES),
+    st.sampled_from(["text", "json"]))
+
+
+@settings(max_examples=60)
+@given(st.one_of(crosscheck_argvs, invariant_argvs))
+def test_main_exits_0_1_or_2_and_never_raises(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)

@@ -9,8 +9,9 @@ Usage:
 spec per line (blank lines and '#' comments skipped).  Output is fully
 deterministic: identical spec + pipeline + seed give byte-identical output.
 
-Exit codes: 0 success, 1 parse/semantic/coloring error or an out-of-range
-crosscheck size, 2 internal invariant violation (crosscheck failures).
+Exit codes: 0 success (and --help), 1 parse/semantic/coloring error, an
+option argparse rejects or an out-of-range crosscheck size, 2 internal
+invariant violation (crosscheck failures).
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def run_crosscheck(
         markov_check.record(ok, b.to_spec_string())
 
     split_check = _Check("split_multiplicativity")
-    for _ in range(max(1, samples // 3)):
+    for _ in range(min(samples, max(1, samples // 3))):
         b1 = sample_braid(rng, max_strands, max_length, max_spin)
         b2 = sample_braid(rng, max_strands, max_length, max_spin)
         u = split_union(b1, b2)
@@ -288,8 +289,17 @@ def _iter_specs(spec: str) -> Iterable[str]:
         yield spec
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with option errors on exit code 1, like every other usage
+    error; 2 stays the code of a cross-check failure."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidrt",
         description="Exact quantum link invariants of colored braid closures.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -223,19 +223,41 @@ def apply_crossing(state: ShadowState, slot: int, sign: int) -> ShadowState:
     return ShadowState(new_colors, numerators, state.denominator * lcm)
 
 
+def _fold(state: ShadowState, word: Iterable[int]) -> ShadowState:
+    for g in word:
+        state = apply_crossing(state, abs(g), 1 if g > 0 else -1)
+    return state
+
+
 def evaluate_shadow(b: ColoredBraidWord) -> LaurentScalar:
-    """The closed-braid invariant w via the path state sum: fold the word
-    through apply_crossing and close with the [d_(gamma_n)]-weighted diagonal
-    of the numerators, divided once, exactly, by the state denominator.
+    """The closed-braid invariant w via the path state sum.
+
+    With k = len(word) // 2, the word's first k letters are folded through
+    apply_crossing into the state L from initial_state(b.colors), and the
+    rest into R from initial_state(L.colors_out).  The trace of R o L pairs
+    the two halves:
+
+        w D_L D_R  =  sum over (g, h) in R of  R[(g, h)] L[(h, g)] [d_(top g)],
+
+    one join instead of a product, closed by one exact division by the two
+    state denominators.  Each half's denominator grows over its own letters
+    only.
 
     Agrees exactly with the tensor-trace pipeline on every braid.
     """
     closure_components(b)  # raises ColorMismatch for inconsistent colorings
-    state = initial_state(b.colors, SPIN_ZERO)
-    for g in b.word:
-        state = apply_crossing(state, abs(g), 1 if g > 0 else -1)
+    k = len(b.word) // 2
+    left = _fold(initial_state(b.colors), b.word[:k])
+    right = _fold(initial_state(left.colors_out), b.word[k:])
+    back = left.numerators
+    by_top: dict[Spin, LaurentScalar] = {}
+    for (out_path, in_path), amp in right.numerators.items():
+        other = back.get((in_path, out_path))
+        if other is not None:
+            top = out_path.top
+            cur = by_top.get(top)
+            by_top[top] = amp * other if cur is None else cur + amp * other
     total = ZERO
-    for (out_path, in_path), amp in state.numerators.items():
-        if out_path == in_path:
-            total = total + amp * qdim(out_path.top)
-    return divide_exact(total, state.denominator)
+    for top, trace in by_top.items():
+        total = total + trace * qdim(top)
+    return divide_exact(total, left.denominator * right.denominator)

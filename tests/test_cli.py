@@ -148,8 +148,9 @@ def test_main_crosscheck(capsys):
 
 
 def test_crosscheck_help_names_the_real_max_spin_default(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exited:
         main(["crosscheck", "--help"])
+    assert exited.value.code == 0
     assert "(default 1)" in " ".join(capsys.readouterr().out.split())
     assert main(["crosscheck", "--max-strands", "2", "--max-length", "1",
                  "--samples", "1"]) == 0
@@ -169,6 +170,51 @@ def test_crosscheck_rejects_out_of_range_sizes(capsys, option, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and option in captured.err
+
+
+def test_crosscheck_samples_zero_runs_no_split_case():
+    # the split check runs samples // 3 cases, but at least one while any
+    # sample is asked for
+    for samples, split_cases in ((0, 0), (1, 1), (2, 1), (6, 2)):
+        report, all_pass = run_crosscheck(max_strands=2, max_length=2, seed=1,
+                                          samples=samples)
+        assert all_pass
+        assert f"PASS split_multiplicativity: {split_cases} cases" in report.splitlines()
+
+
+def _rejected(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return True
+    return False
+
+
+_option_texts = st.text(max_size=6)
+malformed_argvs = st.one_of(
+    st.tuples(st.sampled_from(["--max-strands", "--max-length", "--seed", "--samples"]),
+              _option_texts.filter(lambda t: _rejected(int, t))).map(
+        lambda pair: ["crosscheck", f"{pair[0]}={pair[1]}"]),
+    _option_texts.filter(lambda t: _rejected(Spin.from_string, t)).map(
+        lambda text: ["crosscheck", f"--max-spin={text}"]),
+    st.tuples(st.sampled_from(["--pipeline", "--format"]),
+              _option_texts.filter(lambda t: t not in PIPELINES + ("text", "json"))).map(
+        lambda pair: ["invariant", f"--spec={TREFOIL}", f"{pair[0]}={pair[1]}"]),
+    st.sampled_from([[], ["invariant"], ["crosscheck", "--max-strands"], ["nonsense"],
+                     ["crosscheck", "--unknown", "1"]]),
+)
+
+
+@settings(max_examples=40)
+@given(malformed_argvs)
+def test_options_argparse_rejects_exit_1_with_the_usage_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 1, argv
+    lines = err.getvalue().splitlines()
+    assert out.getvalue() == "" and lines[0].startswith("usage: braidrt")
+    assert lines[-1].startswith("braidrt") and ": error: " in lines[-1]
 
 
 @st.composite

@@ -3,12 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given
+from strategies import colored_braids
 
 from braidrt import uqsl2
 from braidrt.braid import ColoredBraidWord, ColorMismatch, closure_components
 from braidrt.laurent import ONE, LaurentScalar, q_power
 from braidrt.rt_engine import (
-    braid_operator,
     evaluate_rt,
     framed_invariant,
     framing_correction,
@@ -46,13 +47,60 @@ def rand_fundamental(rng, max_strands=3, max_length=6):
     return B(n, (H,) * n, tuple(rng.choice(gens) for _ in range(length)))
 
 
+def _colors_before(b: ColoredBraidWord, position: int) -> list[Spin]:
+    """Colors at each strand position just before word[position] acts."""
+    colors = list(b.colors)
+    for g in b.word[:position]:
+        i = abs(g) - 1
+        colors[i], colors[i + 1] = colors[i + 1], colors[i]
+    return colors
+
+
+def _full_strip(b: ColoredBraidWord, position: int) -> TensorOperator:
+    """The strip of word[position] as a Kronecker product over every weight
+    key: identity (x) braiding (x) identity."""
+    g = b.word[position]
+    i = abs(g) - 1
+    colors = _colors_before(b, position)
+    op = braiding(colors[i], colors[i + 1], 1 if g > 0 else -1)
+    if i > 0:
+        op = TensorOperator.identity(tuple(colors[:i])).tensor(op)
+    if i + 2 < b.strands:
+        op = op.tensor(TensorOperator.identity(tuple(colors[i + 2:])))
+    return op
+
+
+def braid_operator(b: ColoredBraidWord) -> TensorOperator:
+    """The unsplit product of all full strips, first letter applied first."""
+    op = TensorOperator.identity(b.colors)
+    for position in range(len(b.word)):
+        op = _full_strip(b, position).compose(op)
+    return op
+
+
+def unsplit_rt(b: ColoredBraidWord) -> LaurentScalar:
+    """The oracle for evaluate_rt: the quantum trace of the unsplit product
+    over every weight sector."""
+    return quantum_trace(braid_operator(b))
+
+
+def _nonnegative_rows(op: TensorOperator) -> TensorOperator:
+    out = TensorOperator(op.row_spins, op.col_spins)
+    out.rows = {r: row for r, row in op.rows.items() if sum(r) >= 0}
+    return out
+
+
 def test_strip_operator_placement():
     b = B(3, (H, H, H), (2,))
     op = strip_operator(b, 0)
     expected = TensorOperator.identity((H,)).tensor(braiding(H, H, 1))
     assert op == expected
+    nonnegative = strip_operator(b, 0, list(b.colors), nonnegative=True)
+    assert nonnegative == _nonnegative_rows(expected) != expected
     single = B(2, HH, (1,))
     assert strip_operator(single, 0) == braiding(H, H, 1)
+    mixed = B(4, (SPIN_ONE, H, Spin(3), H), (-2,))
+    assert strip_operator(mixed, 0) == _full_strip(mixed, 0)
     with pytest.raises(ValueError):
         strip_operator(single, 1)
     with pytest.raises(ValueError):
@@ -67,7 +115,44 @@ def test_strip_operator_tracks_colors():
     second = strip_operator(b, 1)
     assert second.col_spins == (SPIN_ONE, H)
     assert second.row_spins == (H, SPIN_ONE)
+    assert second == strip_operator(b, 1, (SPIN_ONE, H))
     assert braid_operator(b).is_square()
+    # the colors read off the word are those a walk through it passes
+    c = B(4, (H, SPIN_ONE, Spin(3), SPIN_ZERO), (1, 3, -2, 1, 3, 2))
+    for position in range(len(c.word)):
+        assert strip_operator(c, position) == _full_strip(c, position)
+
+
+@given(colored_braids(max_strands=4, max_length=8, max_twice_j=3))
+def test_evaluate_rt_equals_the_unsplit_full_sector_product(b):
+    assert evaluate_rt(b) == unsplit_rt(b), b.to_spec_string()
+
+
+def test_warm_evaluate_rt_composes_nonnegative_sectors_without_tensor(monkeypatch):
+    # the strips copy the cached braiding entries with no Kronecker product,
+    # and every operator the folds compose holds only rows of total
+    # twice-weight >= 0
+    braids = [B(3, (Spin(t),) * 3, (1, -2, -1, 2, 1)) for t in (1, 2, 3)]
+    braids.append(B(3, (H, SPIN_ONE, SPIN_ONE), (2, 2, -1, -1, 2)))
+    values = [evaluate_rt(b) for b in braids]
+    composed, tensored = [], []
+    compose, tensor = TensorOperator.compose, TensorOperator.tensor
+
+    def recording_compose(self, other):
+        composed.append((self, other))
+        return compose(self, other)
+
+    def recording_tensor(self, other):
+        tensored.append((self, other))
+        return tensor(self, other)
+
+    monkeypatch.setattr(TensorOperator, "compose", recording_compose)
+    monkeypatch.setattr(TensorOperator, "tensor", recording_tensor)
+    assert [evaluate_rt(b) for b in braids] == values
+    assert composed and tensored == []
+    for pair in composed:
+        for op in pair:
+            assert op.rows and all(sum(r) >= 0 for r in op.rows), op
 
 
 def test_evaluate_rt_empty_word_is_qdim_product():

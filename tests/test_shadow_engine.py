@@ -202,6 +202,41 @@ def test_pipeline_equality_random_mixed_spins(b):
     assert evaluate_shadow(b) == evaluate_rt(b), b.to_spec_string()
 
 
+def unsplit_shadow(b: ColoredBraidWord) -> LaurentScalar:
+    """The oracle for evaluate_shadow: one fold over the whole word, closed
+    by the [d_top]-weighted diagonal over the state denominator."""
+    state = initial_state(b.colors)
+    for g in b.word:
+        state = apply_crossing(state, abs(g), 1 if g > 0 else -1)
+    total = ZERO
+    for (out_path, in_path), amp in state.numerators.items():
+        if out_path == in_path:
+            total = total + amp * qdim(out_path.top)
+    return laurent.divide_exact(total, state.denominator)
+
+
+@given(colored_braids(max_strands=4, max_length=8, max_twice_j=3))
+def test_evaluate_shadow_equals_the_unsplit_fold(b):
+    assert evaluate_shadow(b) == unsplit_shadow(b), b.to_spec_string()
+
+
+@settings(max_examples=40)
+@given(colored_braids(max_strands=3, max_length=8, max_twice_j=2))
+def test_every_rotation_of_the_word_gives_the_same_w(b):
+    # rotating the word conjugates the braid, and each rotation moves the
+    # split point of both closings to another place in the original word
+    reference = evaluate_rt(b)
+    colors, word = list(b.colors), b.word
+    for _ in range(len(word)):
+        i = abs(word[0]) - 1
+        colors[i], colors[i + 1] = colors[i + 1], colors[i]
+        word = word[1:] + word[:1]
+        rotated = B(b.strands, colors, word)
+        assert evaluate_rt(rotated) == evaluate_shadow(rotated) == reference, \
+            rotated.to_spec_string()
+    assert word == b.word and tuple(colors) == b.colors
+
+
 @settings(max_examples=8)
 @given(colored_braids(min_strands=3, max_strands=3, min_length=20, max_length=40,
                       min_twice_j=1, max_twice_j=2))

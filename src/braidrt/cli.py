@@ -138,14 +138,13 @@ def run_invariant(b: ColoredBraidWord, pipeline: str, output_format: str = "text
             "components": components,
             "pipeline": pipeline,
         }, separators=(", ", ": "))
-    lines = [
+    return "\n".join([
         f"w_L = {w}",
         f"I_L = {invariant}",
         f"writhe = [{', '.join(str(x) for x in writhes)}]",
         f"components = {components}",
         f"pipeline = {pipeline}",
-    ]
-    return "\n".join(lines)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +167,7 @@ def sample_braid(
         length = rng.randint(0, max_length) if n > 1 else 0
         gens = [i for i in range(1, n)] + [-i for i in range(1, n)]
         word = tuple(rng.choice(gens) for _ in range(length))
-        if fundamental:
-            colors = (SPIN_HALF,) * n
-        else:
-            colors = tuple(rng.choice(spins) for _ in range(n))
+        colors = (SPIN_HALF,) * n if fundamental else tuple(rng.choice(spins) for _ in range(n))
         b = ColoredBraidWord(n, colors, word)
         try:
             closure_components(b)
@@ -243,11 +239,9 @@ def run_crosscheck(
         perm = b.permutation()
         color = b.colors[perm.index(b.strands - 1)]
         stab_colors = b.colors + (color,)
-        ok = True
-        for s in (1, -1):
-            stab = ColoredBraidWord(b.strands + 1, stab_colors, b.word + (s * b.strands,))
-            if evaluate_rt(stab) != ribbon_scalar(color) ** (-s) * w:
-                ok = False
+        ok = all(
+            evaluate_rt(ColoredBraidWord(b.strands + 1, stab_colors, b.word + (s * b.strands,)))
+            == ribbon_scalar(color) ** (-s) * w for s in (1, -1))
         if b.strands > 1:
             g = rng.choice([i for i in range(1, b.strands)] + [-i for i in range(1, b.strands)])
             conj_colors = list(b.colors)
@@ -289,6 +283,14 @@ def _iter_specs(spec: str) -> Iterable[str]:
         yield spec
 
 
+def _spin_option(text: str) -> Spin:
+    try:
+        return Spin.from_string(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"a spin is a nonnegative integer or half-integer, got {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with option errors on exit code 1, like every other usage
     error; 2 stays the code of a cross-check failure."""
@@ -313,7 +315,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     cross = sub.add_parser("crosscheck", help="run the identity cross-check suite")
     cross.add_argument("--max-strands", type=int, default=3)
     cross.add_argument("--max-length", type=int, default=6)
-    cross.add_argument("--max-spin", type=Spin.from_string, default=Spin(2),
+    cross.add_argument("--max-spin", type=_spin_option, default=Spin(2),
                        metavar="J", help="largest color, e.g. 1/2 or 1 (default %(default)s)")
     cross.add_argument("--seed", type=int, default=0)
     cross.add_argument("--samples", type=int, default=50)

@@ -18,13 +18,12 @@ on the chain triple around it; they are the shadow coefficients below, each
 read as one entry <e_2a| ... |e_2a> of the Clebsch-Gordan maps contracted
 with the braiding, and cached.
 
-Shadow coefficients are exact fractions (the cg2 normalisation psi o phi = id
-forces quantum-integer denominators), but the state holds none: in the
-fraction-free manner of Bareiss (Math. Comp. 22, 1968) every amplitude is a
-Laurent numerator over one denominator D shared by the whole state.  A
-crossing scales its coefficients to the lcm L of their denominators and sets
-D <- D L, so amplitudes only multiply and add Laurent polynomials, and the
-closed-trace total, a Laurent polynomial, is one exact division by D.
+In the fraction-free manner of Bareiss (Math. Comp. 22, 1968), a shadow
+coefficient is one Laurent contraction of the integral Clebsch-Gordan data
+over its two psi norms, and every amplitude is a Laurent numerator over one
+denominator D of the whole state.  A crossing scales its coefficients to the
+lcm L of their denominators and sets D <- D L, so amplitudes only multiply
+and add Laurent polynomials; the closed trace is one exact division by D.
 """
 
 from __future__ import annotations
@@ -36,11 +35,13 @@ from typing import Iterable, Iterator
 
 from .braid import ColoredBraidWord, closure_components
 from .laurent import ONE, ZERO, LaurentScalar, divide_exact, gcd
-from .uqsl2 import (
+# unused here, but bench/tracer.py patches shadow_engine.cg_pair
+from .uqsl2 import (  # noqa: F401
     SPIN_ZERO,
     FractionScalar,
     Spin,
     braiding,
+    cg_integral,
     cg_pair,
     fusion_range,
     qdim,
@@ -91,37 +92,36 @@ def shadow_coefficient(
         psi(b',p -> a) (psi(c,q -> b') (x) 1) (1 (x) Rhat_pq^sign)
             (phi(b -> c,p) (x) 1) phi(a -> b,q),
 
-    read as its one entry <e_2a| ... |e_2a>, summed over the operators' cached
-    entries; fractions touch only the two psi factors.
+    read as its one entry <e_2a| ... |e_2a>.  With psi = psi_raw / norm, the
+    entry sum over the cached Laurent operators phi, psi_raw and Rhat is one
+    Laurent numerator, returned over norm(c,q -> b') norm(b',p -> a).
 
     Inadmissible inputs give 0.  A trivial strand (p = 0) is transparent:
     the coefficient is 1 exactly when b = c and a = b_prime.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if (b not in fusion_range(c, p) or a not in fusion_range(b, q_color)
-            or b_prime not in fusion_range(c, q_color)
-            or a not in fusion_range(b_prime, p)):
+    if (b not in fusion_range(c, p) or b_prime not in fusion_range(c, q_color)
+            or a not in fusion_range(b, q_color) or a not in fusion_range(b_prime, p)):
         return _ZERO_FRACTION
-    phi_bq = cg_pair(b, q_color, a)[0].rows        # V_a -> V_b V_q
-    phi_cp = cg_pair(c, p, b)[0].rows              # V_b -> V_c V_p
-    rhat = braiding(p, q_color, sign).rows         # V_p V_q -> V_q V_p
-    psi_cq = cg_pair(c, q_color, b_prime)[1].rows  # V_c V_q -> V_b'
-    psi_bp = cg_pair(b_prime, p, a)[1].rows        # V_b' V_p -> V_a
+    phi_bq = cg_integral(b, q_color, a)[0].rows        # V_a -> V_b V_q
+    phi_cp = cg_integral(c, p, b)[0].rows              # V_b -> V_c V_p
+    rhat = braiding(p, q_color, sign).rows             # V_p V_q -> V_q V_p
+    _, psi_cq, norm_cq = cg_integral(c, q_color, b_prime)  # V_c V_q -> V_b'
+    _, psi_bp, norm_bp = cg_integral(b_prime, p, a)        # V_b' V_p -> V_a
     top = (a.twice_j,)
-    total = _ZERO_FRACTION
-    for (m_bp, m_p), x in psi_bp[top].items():
-        acc = _ZERO_FRACTION
-        for (m_c, m_q), y in psi_cq[(m_bp,)].items():
-            # the Laurent entry ((1 x Rhat)(phi_cp x 1) phi_bq)[(m_c, m_q, m_p), top]
+    total = ZERO
+    for (m_bp, m_p), x in psi_bp.rows[top].items():
+        acc = ZERO
+        for (m_c, m_q), y in psi_cq.rows[(m_bp,)].items():
+            # the entry ((1 x Rhat)(phi_cp x 1) phi_bq)[(m_c, m_q, m_p), top]
             inner = ZERO
             for (m_p0, m_q0), r in rhat[(m_q, m_p)].items():
                 for (m_b,), w in phi_cp.get((m_c, m_p0), {}).items():
                     inner = inner + r * w * phi_bq[(m_b, m_q0)][top]
-            if not inner.is_zero():
-                acc = acc + y * inner
+            acc = acc + y * inner
         total = total + x * acc
-    return total
+    return FractionScalar(total, norm_cq * norm_bp)
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,5 @@ def evaluate_shadow(b: ColoredBraidWord) -> LaurentScalar:
             top = out_path.top
             cur = by_top.get(top)
             by_top[top] = amp * other if cur is None else cur + amp * other
-    total = ZERO
-    for top, trace in by_top.items():
-        total = total + trace * qdim(top)
+    total = sum((trace * qdim(top) for top, trace in by_top.items()), ZERO)
     return divide_exact(total, left.denominator * right.denominator)

@@ -38,11 +38,11 @@ anti-automorphism and a coalgebra map for the coproduct above, so the
 contravariant form (e_M, e_M) = t^(E_j(M)) / qbinom(2j, k) on each V_j
 (k = (M + 2j)/2, E_j(M) = 4k(k + 1 - 2j)) multiplies to a contravariant form
 on V_a (x) V_b, and the adjoint of an intertwiner is an intertwiner.
-Hom(V_a (x) V_b, V_c) is one-dimensional, so normalising psi o phi = id
-fixes psi; that forces denominators.  They live in FractionScalar, an exact
-fraction layer over the Laurent ring used only by the cold, cached builds of
-the Clebsch-Gordan pairs and of the shadow coefficients; the shadow state and
-all externally visible invariants are Laurent polynomials.
+Hom(V_a (x) V_b, V_c) is one-dimensional, so psi_raw o phi = norm * id for
+the integral psi_raw of cg_integral; evaluation works on these Laurent data.
+FractionScalar, an exact fraction layer over the Laurent ring, is made only
+at the boundary: cg_pair's psi = psi_raw / norm, and each shadow coefficient
+as one numerator over its two psi norms.
 """
 
 from __future__ import annotations
@@ -162,10 +162,6 @@ class FractionScalar:
         self.num = num
         self.den = den
 
-    @staticmethod
-    def coerce(x: ScalarLike) -> FractionScalar:
-        return x if isinstance(x, FractionScalar) else FractionScalar(x)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -180,19 +176,17 @@ class FractionScalar:
         return divide_exact(self.num, self.den)
 
     def __add__(self, other: ScalarLike) -> FractionScalar:
-        o = FractionScalar.coerce(other)
-        if self.den == o.den:
-            return FractionScalar(self.num + o.num, self.den)
+        o = other if isinstance(other, FractionScalar) else FractionScalar(other)
         return FractionScalar(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> FractionScalar:
-        o = FractionScalar.coerce(other)
+        o = other if isinstance(other, FractionScalar) else FractionScalar(other)
         return FractionScalar(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __mul__(self, other: ScalarLike) -> FractionScalar:
-        o = FractionScalar.coerce(other)
+        o = other if isinstance(other, FractionScalar) else FractionScalar(other)
         return FractionScalar(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -499,7 +493,7 @@ def _phi_integral(a: Spin, b: Spin, c: Spin) -> TensorOperator:
     """Integral injection V_c -> V_a (x) V_b: the column for e_(c, c-k) is
     [2c-k]! * D(F)^k (highest-weight vector), rescaled to primitive form.
     For (a, 0, a) and (0, a, a) this is exactly the identity reindexing.
-    Only the cached cg_pair calls it, after checking c in fusion_range(a, b)."""
+    Only the cached cg_integral calls it, after checking c in fusion_range(a, b)."""
     op = TensorOperator((a, b), (c,))
     vec = _highest_weight_vector(a, b, c)
     for k in range(c.dimension):
@@ -515,19 +509,18 @@ def _phi_integral(a: Spin, b: Spin, c: Spin) -> TensorOperator:
 
 
 @lru_cache(maxsize=None)
-def cg_pair(a: Spin, b: Spin, c: Spin) -> tuple[TensorOperator, TensorOperator]:
-    """The Clebsch-Gordan pair (phi: V_c -> V_a (x) V_b, psi: V_a (x) V_b -> V_c)
-    normalised so that psi o phi = id_(V_c) exactly.
+def cg_integral(a: Spin, b: Spin, c: Spin) -> tuple[TensorOperator, TensorOperator, LaurentScalar]:
+    """The integral Clebsch-Gordan data (phi: V_c -> V_a (x) V_b,
+    psi_raw: V_a (x) V_b -> V_c, norm) with psi_raw o phi = norm * id_(V_c).
 
-    phi is integral.  psi is the adjoint of phi for the contravariant forms
-    (module docstring); cleared of the constant [2a]! [2b]! it is integral,
+    psi = psi_raw / norm is the adjoint of phi for the contravariant forms
+    (module docstring); cleared of the constant [2a]! [2b]! and of norm,
 
         psi_raw[Mc, (M1, M2)] = phi[(M1, M2), Mc] * [k1]! [2a-k1]! [k2]! [2b-k2]!
                                 * qbinom(2c, kc) * t^(E_a(M1) + E_b(M2) - E_c(Mc)),
 
-    and psi = psi_raw / norm with psi_raw o phi = norm * id (Schur), norm read
-    on the highest weight.  Over all c in the fusion range,
-    sum_c phi_c psi_c = id (completeness).
+    made primitive; norm is read on the highest weight (Schur).  Over all c
+    in the fusion range, sum_c phi_c psi_c = id (completeness).
     """
     if c not in fusion_range(a, b):
         raise ValueError(f"spin {c} is not in the fusion range of {a} and {b}")
@@ -542,9 +535,14 @@ def cg_pair(a: Spin, b: Spin, c: Spin) -> tuple[TensorOperator, TensorOperator]:
                 v * form_a[m1] * form_b[m2] * inverse_c[mc])
     psi_raw = _primitive(psi_raw)
     top = (c.twice_j,)
-    norm = ZERO
-    for key, v in psi_raw.rows[top].items():
-        norm = norm + v * phi.rows[key][top]
+    norm = sum((v * phi.rows[key][top] for key, v in psi_raw.rows[top].items()), ZERO)
+    return phi, psi_raw, norm
+
+
+@lru_cache(maxsize=None)
+def cg_pair(a: Spin, b: Spin, c: Spin) -> tuple[TensorOperator, TensorOperator]:
+    """(phi, psi) with psi = psi_raw / norm of cg_integral, so psi o phi = id_(V_c)."""
+    phi, psi_raw, norm = cg_integral(a, b, c)
     return phi, psi_raw.scale(FractionScalar(ONE, norm))
 
 

@@ -6,7 +6,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidrt.cli import (
@@ -207,6 +207,9 @@ malformed_argvs = st.one_of(
 
 @settings(max_examples=40)
 @given(malformed_argvs)
+@example(["crosscheck", "--max-spin", "x"])
+@example(["crosscheck", "--max-spin", "3/4"])
+@example(["crosscheck", "--max-spin=-1"])
 def test_options_argparse_rejects_exit_1_with_the_usage_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exited:
@@ -215,6 +218,10 @@ def test_options_argparse_rejects_exit_1_with_the_usage_line(argv):
     lines = err.getvalue().splitlines()
     assert out.getvalue() == "" and lines[0].startswith("usage: braidrt")
     assert lines[-1].startswith("braidrt") and ": error: " in lines[-1]
+    # the reason states the rule, not the name of a parsing function
+    assert "from_string" not in err.getvalue()
+    if any(arg.startswith("--max-spin") for arg in argv):
+        assert "a spin is a nonnegative integer or half-integer" in lines[-1]
 
 
 @st.composite

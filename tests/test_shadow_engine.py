@@ -28,6 +28,7 @@ from braidrt.uqsl2 import (
     Spin,
     TensorOperator,
     braiding,
+    cg_integral,
     cg_pair,
     fusion_range,
     qdim,
@@ -106,24 +107,31 @@ def _sandwich(p, q_color, c, b, a, b_prime, sign):
 
 def test_shadow_coefficient_is_the_schur_scalar_of_the_sandwich():
     # the oracle: the explicit contraction must be a multiple of id_(V_a)
-    # (proportionality_scalar raises otherwise) equal to the one-entry sum
+    # (proportionality_scalar raises otherwise) equal to the one-entry sum;
+    # every triple (p, q, c) up to spin 1, and a fixed sample of those that
+    # hold a spin 3/2 (all 37 of them take several seconds)
+    three_halves = Spin(3)
+    with_three_halves = [t for t in itertools.product(SPINS + [three_halves], repeat=3)
+                         if three_halves in t]
+    triples = list(itertools.product(SPINS, repeat=3)) + random.Random(2).sample(
+        with_three_halves, 8)
     count = 0
-    for p, qc, c in itertools.product(SPINS, repeat=3):
+    for p, qc, c in triples:
         for b, b_prime in itertools.product(fusion_range(c, p), fusion_range(c, qc)):
             for a in set(fusion_range(b, qc)) & set(fusion_range(b_prime, p)):
                 for sign in (1, -1):
                     want = _sandwich(p, qc, c, b, a, b_prime, sign).proportionality_scalar()
                     assert shadow_coefficient(p, qc, c, b, a, b_prime, sign) == want
                     count += 1
-    assert count == 198
+    assert count == 348
 
 
 def test_evaluate_shadow_builds_no_tensor_operators(monkeypatch):
-    # coefficients come from entries of cached cg_pair/braiding operators;
+    # coefficients come from entries of cached cg_integral/braiding operators;
     # no operator is composed or tensored, even with every cache cold
     b = B(3, (Spin(2),) * 3, (1, -2, -1, 2))
     reference = evaluate_rt(b)
-    for cached in (shadow_coefficient, cg_pair, braiding):
+    for cached in (shadow_coefficient, cg_integral, cg_pair, braiding):
         cached.cache_clear()
     calls = []
 
@@ -139,6 +147,35 @@ def test_evaluate_shadow_builds_no_tensor_operators(monkeypatch):
         monkeypatch.setattr(TensorOperator, name, counted(name))
     assert evaluate_shadow(b) == reference
     assert calls == []
+
+
+def test_cold_evaluate_shadow_makes_one_fraction_per_coefficient(monkeypatch):
+    # each coefficient is one Laurent contraction of cg_integral's data over
+    # its two psi norms: with every cache cold, no fraction is added or
+    # multiplied, cg_pair's normalised psi is never built, and each
+    # coefficient miss makes at most one FractionScalar
+    braids = [B(3, (Spin(t),) * 3, (1, -2, -1, 2, 1)) for t in (1, 2, 3)]
+    braids.append(B(3, (H, SPIN_ONE, SPIN_ONE), (2, 2, -1, -1, 2)))
+    values = [evaluate_rt(b) for b in braids]
+    for cached in (shadow_coefficient, cg_integral, cg_pair, braiding,
+                   shadow_engine._common_denominator):
+        cached.cache_clear()
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapped(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapped
+
+    for name in ("__init__", "__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(FractionScalar, name, counted(name, getattr(FractionScalar, name)))
+    for module in (uqsl2, shadow_engine):
+        monkeypatch.setattr(module, "cg_pair", counted("cg_pair", cg_pair))
+    assert [evaluate_shadow(b) for b in braids] == values
+    misses = shadow_coefficient.cache_info().misses
+    assert misses > 0 and 0 < calls.pop("__init__") <= misses
+    assert calls == {}
 
 
 def _inverse_monomial_like(value):

@@ -18,6 +18,7 @@ from braidrt.uqsl2 import (
     Spin,
     TensorOperator,
     braiding,
+    cg_integral,
     cg_pair,
     fusion_range,
     mu_operator,
@@ -182,6 +183,26 @@ def test_cg_orthogonality_and_completeness():
         assert total == I((a, b)), ("cg1", a, b)
     with pytest.raises(ValueError):
         cg_pair(H, H, Spin(1))
+
+
+def test_cg_integral_contract():
+    # psi_raw and phi are Laurent, psi_raw o phi = norm * id, and cg_pair's
+    # psi is psi_raw / norm entry by entry
+    for a, b in itertools.product(SMALL_SPINS, repeat=2):
+        for c in fusion_range(a, b):
+            phi, psi_raw, norm = cg_integral(a, b, c)
+            entries = [v for op in (phi, psi_raw) for row in op.rows.values() for v in row.values()]
+            assert all(isinstance(v, LaurentScalar) for v in entries + [norm]), (a, b, c)
+            assert psi_raw.compose(phi) == I((c,)).scale(norm), (a, b, c)
+            assert cg_pair(a, b, c)[0] is phi
+            psi = cg_pair(a, b, c)[1]
+            assert set(psi.rows) == set(psi_raw.rows)
+            for key, row in psi_raw.rows.items():
+                assert set(psi.rows[key]) == set(row)
+                for col, v in row.items():
+                    assert psi.rows[key][col] == FractionScalar(v, norm), (a, b, c, key, col)
+    with pytest.raises(ValueError):
+        cg_integral(H, H, Spin(1))
 
 
 def test_channel_eigenvalues():

@@ -125,6 +125,14 @@ class LaurentScalar:
         out._terms = acc
         return out
 
+    def shift(self, k: int) -> LaurentScalar:
+        """t^k * self, by moving every exponent; no product is formed."""
+        if not k:
+            return self
+        out = LaurentScalar.__new__(LaurentScalar)
+        out._terms = {e + k: c for e, c in self._terms.items()}
+        return out
+
     def __pow__(self, n: int) -> LaurentScalar:
         if n < 0:
             if self.is_monomial():

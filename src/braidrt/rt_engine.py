@@ -26,6 +26,17 @@ one join of two dicts in place of a product of the two halves.  A fold stays
 sparse for its first letters, so the two half-depth folds hold fewer entries
 than one full fold.
 
+A letter is never multiplied out.  The positive braiding is
+Rhat = P o q^(H(x)H/2) o Theta with Theta = sum_n c_n E^n (x) F^n, and the
+negative one Theta^-1 o q^(-H(x)H/2) o P: a permutation, a unit monomial on
+each weight key and a unipotent rest (the terms n >= 1).  So the n = 0
+source of output row r is the swap (r[1], r[0]), with the entry t^d.  A fold
+row is stored as (shift, entries), meaning t^shift * entries, and a letter
+moves it to its swapped key with shift + d.  A row the rest does not reach
+keeps its source's entries dict, shared and not copied; only the rows the
+rest reaches build a new dict, and the closing join applies the shifts once
+per weight and total shift.
+
 Framing enters through the per-component self-writhe n_i: each positive
 self-crossing contributes ribbon_scalar^(-1), so
 
@@ -37,7 +48,7 @@ stabilisation multiplies w by ribbon_scalar^(-+1) and shifts n_i by +-1).
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
 
 from .braid import ColoredBraidWord, closure_components, writhe_per_component
 from .laurent import ONE, ZERO, LaurentScalar
@@ -46,6 +57,7 @@ from .laurent import ONE, ZERO, LaurentScalar
 from .uqsl2 import (  # noqa: F401
     Spin,
     TensorOperator,
+    WeightKey,
     braiding,
     quantum_trace,
     ribbon_scalar,
@@ -53,63 +65,95 @@ from .uqsl2 import (  # noqa: F401
 )
 
 
-def strip_operator(
-    b: ColoredBraidWord,
-    position: int,
-    colors: Sequence[Spin] | None = None,
-    nonnegative: bool = False,
-) -> TensorOperator:
+def strip_operator(b: ColoredBraidWord, position: int) -> TensorOperator:
     """The operator of the single generator word[position]: identity on all
     slots except the braiding of the two colors currently at the generator's
     slot.  Columns are indexed by the incoming color tuple, rows by the
     outgoing (swapped) tuple.
 
     The entries are the cached braiding's own scalars, placed into
-    id (x) Rhat (x) id with no product.  colors are the colors at each
-    position just before word[position] acts; a fold that walks the word
-    passes them, and otherwise they are read off the word.  With
-    nonnegative=True only the rows of total twice-weight >= 0 are built;
-    the strip preserves total weight, so they map those sectors to
-    themselves.
+    id (x) Rhat (x) id with no product; the colors are read off the word.
+    This is the reference strip for the tests and the acceptance gate;
+    evaluate_rt does not build it, since its folds apply each letter as a
+    swap, a row factor and the unipotent rest.
     """
     if not 0 <= position < len(b.word):
         raise ValueError(f"position {position} out of range for word of length {len(b.word)}")
-    if colors is None:
-        colors = list(b.colors)
-        for g in b.word[:position]:
-            i = abs(g) - 1
-            colors[i], colors[i + 1] = colors[i + 1], colors[i]
+    colors = list(b.colors)
+    for g in b.word[:position]:
+        i = abs(g) - 1
+        colors[i], colors[i + 1] = colors[i + 1], colors[i]
     g = b.word[position]
     i = abs(g) - 1
     left, right = tuple(colors[:i]), tuple(colors[i + 2:])
     rhat = braiding(colors[i], colors[i + 1], 1 if g > 0 else -1)
-    middle = [(r, sum(r), row) for r, row in rhat.rows.items()]
     op = TensorOperator(left + rhat.row_spins + right, left + rhat.col_spins + right)
     for lk in weight_keys(left):
         for rk in weight_keys(right):
-            outer = sum(lk) + sum(rk)
-            for r, weight, row in middle:
-                if not nonnegative or outer + weight >= 0:
-                    op.rows[lk + r + rk] = {lk + c + rk: v for c, v in row.items()}
+            for r, row in rhat.rows.items():
+                op.rows[lk + r + rk] = {lk + c + rk: v for c, v in row.items()}
     return op
 
 
-def _half_fold(b: ColoredBraidWord, start: int, stop: int, colors: list[Spin]) -> TensorOperator:
-    """S(word[stop-1]) o ... o S(word[start]) on the sectors of total
-    twice-weight >= 0; the identity there when start == stop.  colors, those
-    before word[start], are walked in place to those after word[stop-1]."""
-    op = None
-    for position in range(start, stop):
-        strip = strip_operator(b, position, colors, nonnegative=True)
-        op = strip if op is None else strip.compose(op)
-        i = abs(b.word[position]) - 1
+@lru_cache(maxsize=None)
+def _letter(a: Spin, b: Spin, sign: int) -> dict[WeightKey, tuple[WeightKey, int, tuple]]:
+    """The braiding Rhat^(sign): V_a (x) V_b -> V_b (x) V_a read as a swap,
+    a unit monomial and the unipotent rest, keyed by the n = 0 source.
+
+    Output row r of braiding(a, b, sign) takes its n = 0 term from the
+    swapped column c0 = (r[1], r[0]), and that entry is the unit monomial
+    t^d, d = 2 sign r[0] r[1], for both signs (h is read on the output
+    weights for +1 and on the input weights for -1; at n = 0 they agree).
+    The table maps c0 to (r, d, rest), where rest holds the other columns c
+    of row r with their entries divided by t^d.
+    """
+    table = {}
+    for r, row in braiding(a, b, sign).rows.items():
+        c0 = (r[1], r[0])
+        d = row[c0].min_exponent()
+        table[c0] = (r, d, tuple((c, v.shift(-d)) for c, v in row.items() if c != c0))
+    return table
+
+
+Row = tuple[int, dict[WeightKey, LaurentScalar]]
+
+
+def _half_fold(
+    b: ColoredBraidWord, start: int, stop: int, colors: list[Spin]
+) -> dict[WeightKey, Row]:
+    """The rows of S(word[stop-1]) o ... o S(word[start]) of total
+    twice-weight >= 0 as (shift, entries), meaning t^shift * entries; the
+    identity there when start == stop.  colors, those before word[start],
+    are walked in place to those after word[stop-1].
+
+    A letter moves each row to its swapped key and adds d to its shift.  A
+    row whose letter has no rest keeps its source's entries dict, shared;
+    only the rows the rest reaches build a new one.
+    """
+    rows: dict[WeightKey, Row] = {
+        key: (0, {key: ONE}) for key in weight_keys(colors) if sum(key) >= 0}
+    for g in b.word[start:stop]:
+        i = abs(g) - 1
+        j = i + 2
+        table = _letter(colors[i], colors[i + 1], 1 if g > 0 else -1)
+        folded: dict[WeightKey, Row] = {}
+        for y, (s0, entries) in rows.items():
+            r, d, rest = table[y[i:j]]
+            if rest:
+                acc = dict(entries)
+                for c, ratio in rest:
+                    sx, source = rows[y[:i] + c + y[j:]]
+                    factor = ratio.shift(sx - s0)
+                    for col, v in source.items():
+                        # many entries are still the identity's shared ONE: no product
+                        p = factor if v is ONE else factor * v
+                        cur = acc.get(col)
+                        acc[col] = p if cur is None else cur + p
+                entries = {col: v for col, v in acc.items() if v}
+            folded[y[:i] + r + y[j:]] = (s0 + d, entries)
+        rows = folded
         colors[i], colors[i + 1] = colors[i + 1], colors[i]
-    if op is None:
-        op = TensorOperator(colors, colors)
-        for key in weight_keys(colors):
-            if sum(key) >= 0:
-                op.rows[key] = {key: ONE}
-    return op
+    return rows
 
 
 def evaluate_rt(b: ColoredBraidWord) -> LaurentScalar:
@@ -122,21 +166,25 @@ def evaluate_rt(b: ColoredBraidWord) -> LaurentScalar:
     closure_components(b)  # raises ColorMismatch for inconsistent colorings
     colors = list(b.colors)
     k = len(b.word) // 2
-    left = _half_fold(b, 0, k, colors).rows
-    right = _half_fold(b, k, len(b.word), colors).rows
-    chi: dict[int, LaurentScalar] = {}
-    for x, row in right.items():
+    left = _half_fold(b, 0, k, colors)
+    right = _half_fold(b, k, len(b.word), colors)
+    # the products of one weight M and one total shift share that shift
+    groups: dict[tuple[int, int], LaurentScalar] = {}
+    for x, (shift, row) in right.items():
+        weight = sum(x)
         for y, v in row.items():
-            u = left[y].get(x)
+            left_shift, left_row = left[y]
+            u = left_row.get(x)
             if u is not None:
-                weight = sum(x)
-                cur = chi.get(weight)
-                chi[weight] = v * u if cur is None else cur + v * u
+                key = (weight, shift + left_shift)
+                cur = groups.get(key)
+                groups[key] = v * u if cur is None else cur + v * u
     w = ZERO
-    for weight, trace in chi.items():
+    for (weight, shift), trace in groups.items():
         if weight:
-            trace = trace * LaurentScalar({4 * weight: 1, -4 * weight: 1})
-        w = w + trace
+            w = w + trace.shift(shift + 4 * weight) + trace.shift(shift - 4 * weight)
+        else:
+            w = w + trace.shift(shift)
     return w
 
 

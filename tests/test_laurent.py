@@ -167,6 +167,15 @@ def test_mirror():
     assert quantum_integer(5).mirror() == quantum_integer(5)
 
 
+def test_shift_is_a_unit_monomial_product():
+    rng = random.Random(3)
+    for _ in range(20):
+        a, k = rand_poly(rng), rng.randint(-9, 9)
+        assert a.shift(k) == LaurentScalar.monomial(1, k) * a
+    a = quantum_integer(3)
+    assert a.shift(0) is a and ZERO.shift(5) == ZERO
+
+
 def test_str_rendering():
     assert str(ZERO) == "0"
     assert str(ONE) == "1"

@@ -4,9 +4,10 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 from strategies import colored_braids
 
-from braidrt import uqsl2
+from braidrt import rt_engine, uqsl2
 from braidrt.braid import ColoredBraidWord, ColorMismatch, closure_components
 from braidrt.laurent import ONE, LaurentScalar, q_power
 from braidrt.rt_engine import (
@@ -84,19 +85,11 @@ def unsplit_rt(b: ColoredBraidWord) -> LaurentScalar:
     return quantum_trace(braid_operator(b))
 
 
-def _nonnegative_rows(op: TensorOperator) -> TensorOperator:
-    out = TensorOperator(op.row_spins, op.col_spins)
-    out.rows = {r: row for r, row in op.rows.items() if sum(r) >= 0}
-    return out
-
-
 def test_strip_operator_placement():
     b = B(3, (H, H, H), (2,))
     op = strip_operator(b, 0)
     expected = TensorOperator.identity((H,)).tensor(braiding(H, H, 1))
     assert op == expected
-    nonnegative = strip_operator(b, 0, list(b.colors), nonnegative=True)
-    assert nonnegative == _nonnegative_rows(expected) != expected
     single = B(2, HH, (1,))
     assert strip_operator(single, 0) == braiding(H, H, 1)
     mixed = B(4, (SPIN_ONE, H, Spin(3), H), (-2,))
@@ -115,7 +108,6 @@ def test_strip_operator_tracks_colors():
     second = strip_operator(b, 1)
     assert second.col_spins == (SPIN_ONE, H)
     assert second.row_spins == (H, SPIN_ONE)
-    assert second == strip_operator(b, 1, (SPIN_ONE, H))
     assert braid_operator(b).is_square()
     # the colors read off the word are those a walk through it passes
     c = B(4, (H, SPIN_ONE, Spin(3), SPIN_ZERO), (1, 3, -2, 1, 3, 2))
@@ -128,31 +120,113 @@ def test_evaluate_rt_equals_the_unsplit_full_sector_product(b):
     assert evaluate_rt(b) == unsplit_rt(b), b.to_spec_string()
 
 
-def test_warm_evaluate_rt_composes_nonnegative_sectors_without_tensor(monkeypatch):
-    # the strips copy the cached braiding entries with no Kronecker product,
-    # and every operator the folds compose holds only rows of total
-    # twice-weight >= 0
+#: deterministic oracle cases where the rest has up to 5 terms and the -1 sign
+#: reads h on the input weights: spins 2 and 5/2, both signs, mixed colors
+ORACLE_BRAIDS = [
+    B(3, (Spin(4),) * 3, (1, -2, 1, 2, -1)),
+    B(3, (Spin(4),) * 3, (-1, -2, -1, 2)),
+    B(3, (Spin(5),) * 3, (1, 2, -1, -2)),
+    B(3, (Spin(5),) * 3, (-2, -1, -2, 1, 2)),
+    B(3, (H, Spin(4), Spin(5)), (1, 1, -2, -2)),
+    B(3, (H, Spin(4), Spin(5)), (-1, 2, 2, -1)),
+    B(3, (Spin(4), Spin(5), Spin(4)), (1, -2, 1, 2, 2)),
+    B(3, (Spin(5), H, Spin(5)), (-1, 2, -1, -2, -2)),
+]
+
+
+@pytest.mark.parametrize("b", ORACLE_BRAIDS, ids=lambda b: b.to_spec_string())
+def test_evaluate_rt_equals_the_unsplit_product_at_high_spin(b):
+    assert evaluate_rt(b) == unsplit_rt(b)
+
+
+def test_letter_table_is_a_swap_a_unit_monomial_and_the_rest():
+    # the n = 0 entry of every braiding row sits in the swapped column and
+    # is t^d with d = 2 sign r[0] r[1]; the rest is the row over t^d
+    for ta in range(6):
+        for tb in range(6):
+            for sign in (1, -1):
+                rhat = braiding(Spin(ta), Spin(tb), sign)
+                table = rt_engine._letter(Spin(ta), Spin(tb), sign)
+                assert len(table) == len(rhat.rows)
+                for c0, (r, d, rest) in table.items():
+                    row = rhat.rows[r]
+                    assert c0 == (r[1], r[0]) and d == 2 * sign * r[0] * r[1]
+                    assert row[c0] == LaurentScalar.monomial(1, d)
+                    assert dict(rest) == {c: v.shift(-d) for c, v in row.items() if c != c0}
+
+
+def test_warm_evaluate_rt_folds_nonnegative_rows_without_operators(monkeypatch):
+    # a letter is a swap, a unit-monomial row factor and the unipotent rest:
+    # a warm evaluation builds no strip and no operator product, its folds
+    # hold only rows of total twice-weight >= 0 (each row's columns in its
+    # own sector), and the rows the rest leaves alone cost no product
     braids = [B(3, (Spin(t),) * 3, (1, -2, -1, 2, 1)) for t in (1, 2, 3)]
     braids.append(B(3, (H, SPIN_ONE, SPIN_ONE), (2, 2, -1, -1, 2)))
+    wide = B(6, (H,) * 6, (1, -2, 3, -4, 5, 1, 2, -3, 4, -5))
+    braids.append(wide)
     values = [evaluate_rt(b) for b in braids]
-    composed, tensored = [], []
-    compose, tensor = TensorOperator.compose, TensorOperator.tensor
+    calls, folds = [], []
 
-    def recording_compose(self, other):
-        composed.append((self, other))
-        return compose(self, other)
+    def recording(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
 
-    def recording_tensor(self, other):
-        tensored.append((self, other))
-        return tensor(self, other)
+    monkeypatch.setattr(TensorOperator, "compose", recording("compose", TensorOperator.compose))
+    monkeypatch.setattr(TensorOperator, "tensor", recording("tensor", TensorOperator.tensor))
+    monkeypatch.setattr(rt_engine, "strip_operator",
+                        recording("strip_operator", rt_engine.strip_operator))
+    half_fold = rt_engine._half_fold
 
-    monkeypatch.setattr(TensorOperator, "compose", recording_compose)
-    monkeypatch.setattr(TensorOperator, "tensor", recording_tensor)
+    def recording_fold(*args):
+        folds.append(half_fold(*args))
+        return folds[-1]
+
+    monkeypatch.setattr(rt_engine, "_half_fold", recording_fold)
     assert [evaluate_rt(b) for b in braids] == values
-    assert composed and tensored == []
-    for pair in composed:
-        for op in pair:
-            assert op.rows and all(sum(r) >= 0 for r in op.rows), op
+    assert calls == []
+    assert len(folds) == 2 * len(braids)
+    for rows in folds:
+        assert rows
+        for x, (_, row) in rows.items():
+            assert sum(x) >= 0 and all(sum(y) == sum(x) for y in row), x
+    products = []
+    mul = LaurentScalar.__mul__
+
+    def counting_mul(self, other):
+        products.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentScalar, "__mul__", counting_mul)
+    assert evaluate_rt(wide) == values[-1]
+    # multiplying out whole strips made 826 products here
+    assert len(products) <= 826 // 2, len(products)
+
+
+@given(colored_braids(min_strands=2, max_strands=4, max_length=6, max_twice_j=3), st.data())
+def test_evaluate_rt_conjugation_invariance(b, data):
+    g = data.draw(st.sampled_from([s * i for i in range(1, b.strands) for s in (1, -1)]))
+    i = abs(g) - 1
+    colors = list(b.colors)
+    colors[i], colors[i + 1] = colors[i + 1], colors[i]
+    conj = B(b.strands, colors, (-g,) + b.word + (g,))
+    assert evaluate_rt(conj) == evaluate_rt(b), conj.to_spec_string()
+
+
+@given(colored_braids(max_strands=4, max_length=6, max_twice_j=3), st.sampled_from((1, -1)))
+def test_evaluate_rt_stabilisation_factor(b, sign):
+    # the new strand joins the component closing through the last position
+    color = _colors_before(b, len(b.word))[-1]
+    stab = B(b.strands + 1, b.colors + (color,), b.word + (sign * b.strands,))
+    assert evaluate_rt(stab) == ribbon_scalar(color) ** (-sign) * evaluate_rt(b), \
+        stab.to_spec_string()
+
+
+@given(colored_braids(max_strands=4, max_length=6, max_twice_j=3))
+def test_evaluate_rt_mirror(b):
+    mirror = B(b.strands, b.colors, tuple(-g for g in b.word))
+    assert evaluate_rt(mirror) == evaluate_rt(b).mirror(), b.to_spec_string()
 
 
 def test_evaluate_rt_empty_word_is_qdim_product():

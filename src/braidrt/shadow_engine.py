@@ -21,9 +21,11 @@ with the braiding, and cached.
 In the fraction-free manner of Bareiss (Math. Comp. 22, 1968), a shadow
 coefficient is one Laurent contraction of the integral Clebsch-Gordan data
 over its two psi norms, and every amplitude is a Laurent numerator over one
-denominator D of the whole state.  A crossing scales its coefficients to the
-lcm L of their denominators and sets D <- D L, so amplitudes only multiply
-and add Laurent polynomials; the closed trace is one exact division by D.
+denominator D of the whole state.  Each crossing is one cached table over
+the state's outgoing paths: the lcm L of its coefficient denominators and
+each path's targets, with the coefficients scaled by L to Laurent
+polynomials.  It sets D <- D L, so amplitudes only multiply and add Laurent
+polynomials; the closed trace is one exact division by D.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .braid import ColoredBraidWord, closure_components
 from .laurent import ONE, ZERO, LaurentScalar, divide_exact, gcd
@@ -52,8 +54,7 @@ _ZERO_FRACTION = FractionScalar(ZERO)
 
 class CouplingPath(tuple):
     """The chain (gamma_0, ..., gamma_n) of a coupling path.  It is not
-    checked: admissible_paths and apply_crossing build only admissible
-    chains."""
+    checked: admissible_paths and _crossing build only admissible chains."""
 
     __slots__ = ()
 
@@ -62,21 +63,15 @@ class CouplingPath(tuple):
         return self[-1]
 
 
+@lru_cache(maxsize=None)
 def admissible_paths(
-    colors: Iterable[Spin], gamma0: Spin = SPIN_ZERO
-) -> Iterator[CouplingPath]:
+    colors: tuple[Spin, ...], gamma0: Spin = SPIN_ZERO
+) -> tuple[CouplingPath, ...]:
     """All coupling paths over the colors starting at gamma0 (top end free)."""
-    colors = tuple(colors)
-
-    def extend(chain: tuple[Spin, ...], k: int) -> Iterator[tuple[Spin, ...]]:
-        if k == len(colors):
-            yield chain
-            return
-        for nxt in fusion_range(chain[-1], colors[k]):
-            yield from extend(chain + (nxt,), k + 1)
-
-    for chain in extend((gamma0,), 0):
-        yield CouplingPath(chain)
+    chains = [(gamma0,)]
+    for color in colors:
+        chains = [chain + (nxt,) for chain in chains for nxt in fusion_range(chain[-1], color)]
+    return tuple(map(CouplingPath, chains))
 
 
 @lru_cache(maxsize=None)
@@ -173,46 +168,45 @@ def initial_state(colors: Iterable[Spin], gamma0: Spin = SPIN_ZERO) -> ShadowSta
 
 
 @lru_cache(maxsize=None)
-def _common_denominator(dens: frozenset[LaurentScalar]) -> tuple[LaurentScalar, dict]:
-    """The lcm L of a set of canonical denominators, and L / den for each."""
+def _crossing(colors_out: tuple[Spin, ...], slot: int, sign: int,
+              out_paths: frozenset[CouplingPath]) -> tuple[tuple[Spin, ...], LaurentScalar, dict]:
+    """The crossing at (slot, slot+1) on a state's outgoing paths: the new
+    colors, the lcm L of the denominators of its nonzero coefficients, and
+    for each path its targets (new path, coefficient * L).  Each chain
+    triple (below, mid, above) at the slot looks its coefficients up once."""
+    p, q_color = colors_out[slot - 1], colors_out[slot]
+    rows = {}
+    for below, mid, above in {path[slot - 1:slot + 2] for path in out_paths}:
+        coeffs = ((m, shadow_coefficient(p, q_color, below, mid, above, m, sign))
+                  for m in fusion_range(below, q_color))
+        rows[below, mid, above] = [(m, c) for m, c in coeffs if not c.is_zero()]
+    dens = {c.den for row in rows.values() for _, c in row}
     lcm = ONE
     for den in dens:
         lcm = lcm * divide_exact(den, gcd(lcm, den))
-    return lcm, {den: divide_exact(lcm, den) for den in dens}
+    scale = {den: divide_exact(lcm, den) for den in dens}
+    rows = {triple: [(m, c.num * scale[c.den]) for m, c in row] for triple, row in rows.items()}
+    targets = {path: [(CouplingPath(path[:slot] + (m,) + path[slot + 1:]), coeff)
+                      for m, coeff in rows[path[slot - 1:slot + 2]]] for path in out_paths}
+    return colors_out[:slot - 1] + (q_color, p) + colors_out[slot + 1:], lcm, targets
 
 
 def apply_crossing(state: ShadowState, slot: int, sign: int) -> ShadowState:
     """Compose the state with one crossing of the strands at positions
     (slot, slot+1), 1-based, of the current outgoing colors.
 
-    The nonzero (new_mid, coefficient) targets of each chain triple
-    (below, mid, above) at the slot are looked up once per triple.  With L
-    the lcm of the denominators of all those coefficients (cached on that
-    set, so a warm crossing computes no gcd), each coefficient becomes the
-    Laurent polynomial coefficient * L, the amplitude numerators are
-    multiplied and summed with them, and the state denominator becomes D L."""
+    One cached _crossing table holds L and the scaled coefficients, so a
+    warm crossing only multiplies and sums the amplitude numerators with
+    them; the state denominator becomes D L."""
     n = len(state.colors_out)
     if not 1 <= slot <= n - 1:
         raise ValueError(f"slot {slot} out of range for {n} strands")
-    colors = state.colors_out
-    p, q_color = colors[slot - 1], colors[slot]
-    new_colors = colors[:slot - 1] + (q_color, p) + colors[slot + 1:]
-    targets: dict[tuple[Spin, ...], list[tuple[Spin, FractionScalar]]] = {}
-    for out_path, _ in state.numerators:
-        triple = out_path[slot - 1:slot + 2]
-        if triple not in targets:
-            below, mid, above = triple
-            coeffs = ((new_mid, shadow_coefficient(p, q_color, below, mid, above, new_mid, sign))
-                      for new_mid in fusion_range(below, q_color))
-            targets[triple] = [(m, c) for m, c in coeffs if not c.is_zero()]
-    lcm, scale = _common_denominator(
-        frozenset(c.den for row in targets.values() for _, c in row))
-    rows = {triple: [(m, c.num * scale[c.den]) for m, c in row]
-            for triple, row in targets.items()}
+    new_colors, lcm, targets = _crossing(
+        state.colors_out, slot, sign, frozenset(out_path for out_path, _ in state.numerators))
     numerators: dict[tuple[CouplingPath, CouplingPath], LaurentScalar] = {}
     for (out_path, in_path), amp in state.numerators.items():
-        for new_mid, coeff in rows[out_path[slot - 1:slot + 2]]:
-            key = (CouplingPath(out_path[:slot] + (new_mid,) + out_path[slot + 1:]), in_path)
+        for new_path, coeff in targets[out_path]:
+            key = (new_path, in_path)
             cur = numerators.get(key)
             term = coeff * amp
             total = term if cur is None else cur + term

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from strategies import colored_braids
 
 from braidrt import laurent, shadow_engine, uqsl2
@@ -158,7 +159,7 @@ def test_cold_evaluate_shadow_makes_one_fraction_per_coefficient(monkeypatch):
     braids.append(B(3, (H, SPIN_ONE, SPIN_ONE), (2, 2, -1, -1, 2)))
     values = [evaluate_rt(b) for b in braids]
     for cached in (shadow_coefficient, cg_integral, cg_pair, braiding,
-                   shadow_engine._common_denominator):
+                   shadow_engine._crossing):
         cached.cache_clear()
     calls = Counter()
 
@@ -239,6 +240,34 @@ def test_pipeline_equality_random_mixed_spins(b):
     assert evaluate_shadow(b) == evaluate_rt(b), b.to_spec_string()
 
 
+@given(colored_braids(min_strands=2, max_strands=3, max_length=6, max_twice_j=2), st.data())
+def test_evaluate_shadow_conjugation_invariance(b, data):
+    g = data.draw(st.sampled_from([s * i for i in range(1, b.strands) for s in (1, -1)]))
+    i = abs(g) - 1
+    colors = list(b.colors)
+    colors[i], colors[i + 1] = colors[i + 1], colors[i]
+    conj = B(b.strands, colors, (-g,) + b.word + (g,))
+    assert evaluate_shadow(conj) == evaluate_shadow(b), conj.to_spec_string()
+
+
+@given(colored_braids(max_strands=2, max_length=6, max_twice_j=2), st.sampled_from((1, -1)))
+def test_evaluate_shadow_stabilisation_factor(b, sign):
+    # the new strand joins the component closing through the last position
+    colors = list(b.colors)
+    for g in b.word:
+        i = abs(g) - 1
+        colors[i], colors[i + 1] = colors[i + 1], colors[i]
+    stab = B(b.strands + 1, b.colors + (colors[-1],), b.word + (sign * b.strands,))
+    assert evaluate_shadow(stab) == ribbon_scalar(colors[-1]) ** (-sign) * evaluate_shadow(b), \
+        stab.to_spec_string()
+
+
+@given(colored_braids(max_strands=3, max_length=6, max_twice_j=2))
+def test_evaluate_shadow_mirror(b):
+    mirror = B(b.strands, b.colors, tuple(-g for g in b.word))
+    assert evaluate_shadow(mirror) == evaluate_shadow(b).mirror(), b.to_spec_string()
+
+
 def unsplit_shadow(b: ColoredBraidWord) -> LaurentScalar:
     """The oracle for evaluate_shadow: one fold over the whole word, closed
     by the [d_top]-weighted diagonal over the state denominator."""
@@ -312,6 +341,26 @@ def test_warm_evaluate_shadow_builds_no_fractions_and_calls_no_gcd(monkeypatch):
     assert calls == []
 
 
+def test_warm_evaluate_shadow_looks_up_no_coefficient(monkeypatch):
+    # each crossing is one cached table over the outgoing paths: once it is
+    # filled, a pass neither asks for a coefficient nor enumerates a fusion
+    # range, and makes no fraction
+    braids = [B(3, (Spin(t),) * 3, (1, -2, -1, 2, 1)) for t in (1, 2, 3)]
+    braids.append(B(3, (H, SPIN_ONE, SPIN_ONE), (2, 2, -1, -1, 2)))
+    values = [evaluate_shadow(b) for b in braids]
+    calls = _count_fractions_and_gcds(monkeypatch)
+
+    def forbidden(name):
+        def wrapped(*args):
+            raise AssertionError(f"warm evaluate_shadow called {name}")
+        return wrapped
+
+    for name in ("shadow_coefficient", "fusion_range"):
+        monkeypatch.setattr(shadow_engine, name, forbidden(name))
+    assert [evaluate_shadow(b) for b in braids] == values
+    assert calls == []
+
+
 def test_amplitudes_view_builds_fractions_only_when_read(monkeypatch):
     state = initial_state((SPIN_ONE,) * 3)
     for slot, sign in ((1, 1), (2, -1), (1, 1)):
@@ -348,9 +397,10 @@ def test_support_bound(b):
 
 def test_apply_crossing_looks_up_each_coefficient_once(monkeypatch):
     # many paths share the chain colors (below, mid, above) at a slot; each
-    # crossing asks for one coefficient per distinct triple and target
+    # crossing table asks for one coefficient per distinct triple and target
     b = B(4, (H,) * 4, (1, 2, 3, -1, 2, -3, 1, 2))
     reference = evaluate_shadow(b)  # fills the caches
+    shadow_engine._crossing.cache_clear()
     apply, coefficient = shadow_engine.apply_crossing, shadow_engine.shadow_coefficient
     crossing = [-1]
     calls = []

@@ -13,7 +13,7 @@ All arithmetic is exact, over Z[t, t^-1] with t = q^(1/4).
 """
 
 from .braid import ColoredBraidWord, ColorMismatch, LinkDiagram, braid_to_diagram
-from .laurent import LaurentScalar, quantum_integer, substitute_power
+from .laurent import LaurentScalar, quantum_integer
 from .rt_engine import evaluate_rt, framed_invariant, two_cabling
 from .shadow_engine import evaluate_shadow
 from .skein_oracle import jones_unnormalized, kauffman_bracket
@@ -38,7 +38,6 @@ __all__ = [
     "quantum_integer",
     "quantum_trace",
     "ribbon_scalar",
-    "substitute_power",
     "two_cabling",
 ]
 

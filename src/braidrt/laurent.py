@@ -290,13 +290,6 @@ def quantum_binomial(n: int, k: int) -> LaurentScalar:
     return gauss * LaurentScalar.monomial(1, -4 * k * (n - k))
 
 
-def substitute_power(a: LaurentScalar, k: int) -> LaurentScalar:
-    """The ring homomorphism sending every exponent e to k*e (i.e. t -> t^k)."""
-    if k < 1:
-        raise ValueError("substitute_power requires k >= 1")
-    return LaurentScalar({e * k: c for e, c in a.terms().items()})
-
-
 def divide_exact(numerator: LaurentScalar, denominator: LaurentScalar) -> LaurentScalar:
     """Exact division in Z[t, t^-1]; raises ValueError if it does not divide.
 

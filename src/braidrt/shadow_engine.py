@@ -21,11 +21,12 @@ with the braiding, and cached.
 In the fraction-free manner of Bareiss (Math. Comp. 22, 1968), a shadow
 coefficient is one Laurent contraction of the integral Clebsch-Gordan data
 over its two psi norms, and every amplitude is a Laurent numerator over one
-denominator D of the whole state.  Each crossing is one cached table over
-the state's outgoing paths: the lcm L of its coefficient denominators and
-each path's targets, with the coefficients scaled by L to Laurent
-polynomials.  It sets D <- D L, so amplitudes only multiply and add Laurent
-polynomials; the closed trace is one exact division by D.
+denominator D of the whole state.  Each crossing is one table cached on the
+strand colors, the slot and the sign alone: over every admissible path of
+the colors, the lcm L of its coefficient denominators and each path's
+targets, with the coefficients scaled by L to Laurent polynomials.  It sets
+D <- D L, so amplitudes only multiply and add Laurent polynomials; the
+closed trace is one exact division by D.
 """
 
 from __future__ import annotations
@@ -64,11 +65,9 @@ class CouplingPath(tuple):
 
 
 @lru_cache(maxsize=None)
-def admissible_paths(
-    colors: tuple[Spin, ...], gamma0: Spin = SPIN_ZERO
-) -> tuple[CouplingPath, ...]:
-    """All coupling paths over the colors starting at gamma0 (top end free)."""
-    chains = [(gamma0,)]
+def admissible_paths(colors: tuple[Spin, ...]) -> tuple[CouplingPath, ...]:
+    """All coupling paths over the colors from gamma_0 = 0 (top end free)."""
+    chains = [(SPIN_ZERO,)]
     for color in colors:
         chains = [chain + (nxt,) for chain in chains for nxt in fusion_range(chain[-1], color)]
     return tuple(map(CouplingPath, chains))
@@ -155,28 +154,27 @@ class _Amplitudes(Mapping):
         return len(self._numerators)
 
 
-def initial_state(colors: Iterable[Spin], gamma0: Spin = SPIN_ZERO) -> ShadowState:
-    """The identity state: amplitude 1 on (p, p) for every admissible path
-    with chain[0] = gamma0.
-
-    A closed-trace evaluation can never involve chain colors above the total
-    color budget sum(colors); a gamma0 beyond it yields the empty state."""
+def initial_state(colors: Iterable[Spin]) -> ShadowState:
+    """The identity state: amplitude 1 on (p, p) for every admissible path.
+    A crossing is invertible on each (below, above) block of the chain, so
+    every state folded from here keeps all admissible outgoing paths."""
     colors = tuple(colors)
-    if gamma0.twice_j > sum(c.twice_j for c in colors):
-        return ShadowState(colors, {})
-    return ShadowState(colors, {(path, path): ONE for path in admissible_paths(colors, gamma0)})
+    return ShadowState(colors, {(path, path): ONE for path in admissible_paths(colors)})
 
 
 @lru_cache(maxsize=None)
-def _crossing(colors_out: tuple[Spin, ...], slot: int, sign: int,
-              out_paths: frozenset[CouplingPath]) -> tuple[tuple[Spin, ...], LaurentScalar, dict]:
-    """The crossing at (slot, slot+1) on a state's outgoing paths: the new
-    colors, the lcm L of the denominators of its nonzero coefficients, and
-    for each path its targets (new path, coefficient * L).  Each chain
-    triple (below, mid, above) at the slot looks its coefficients up once."""
+def _crossing(colors_out: tuple[Spin, ...], slot: int,
+              sign: int) -> tuple[tuple[Spin, ...], LaurentScalar, dict]:
+    """The crossing at (slot, slot+1) over every admissible path of
+    colors_out: the new colors, the lcm L of the denominators of its nonzero
+    coefficients, and for each path its targets (new path, coefficient * L).
+    Each chain triple (below, mid, above) at the slot looks its coefficients
+    up once.  Keyed on the colors alone, it is exactly the table over a
+    folded state's outgoing paths, since those are all admissible paths."""
     p, q_color = colors_out[slot - 1], colors_out[slot]
+    paths = admissible_paths(colors_out)
     rows = {}
-    for below, mid, above in {path[slot - 1:slot + 2] for path in out_paths}:
+    for below, mid, above in {path[slot - 1:slot + 2] for path in paths}:
         coeffs = ((m, shadow_coefficient(p, q_color, below, mid, above, m, sign))
                   for m in fusion_range(below, q_color))
         rows[below, mid, above] = [(m, c) for m, c in coeffs if not c.is_zero()]
@@ -187,7 +185,7 @@ def _crossing(colors_out: tuple[Spin, ...], slot: int, sign: int,
     scale = {den: divide_exact(lcm, den) for den in dens}
     rows = {triple: [(m, c.num * scale[c.den]) for m, c in row] for triple, row in rows.items()}
     targets = {path: [(CouplingPath(path[:slot] + (m,) + path[slot + 1:]), coeff)
-                      for m, coeff in rows[path[slot - 1:slot + 2]]] for path in out_paths}
+                      for m, coeff in rows[path[slot - 1:slot + 2]]] for path in paths}
     return colors_out[:slot - 1] + (q_color, p) + colors_out[slot + 1:], lcm, targets
 
 
@@ -195,14 +193,13 @@ def apply_crossing(state: ShadowState, slot: int, sign: int) -> ShadowState:
     """Compose the state with one crossing of the strands at positions
     (slot, slot+1), 1-based, of the current outgoing colors.
 
-    One cached _crossing table holds L and the scaled coefficients, so a
-    warm crossing only multiplies and sums the amplitude numerators with
-    them; the state denominator becomes D L."""
+    The _crossing table of (colors_out, slot, sign) holds L and the scaled
+    coefficients, so a warm crossing only multiplies and sums the amplitude
+    numerators with them; the state denominator becomes D L."""
     n = len(state.colors_out)
     if not 1 <= slot <= n - 1:
         raise ValueError(f"slot {slot} out of range for {n} strands")
-    new_colors, lcm, targets = _crossing(
-        state.colors_out, slot, sign, frozenset(out_path for out_path, _ in state.numerators))
+    new_colors, lcm, targets = _crossing(state.colors_out, slot, sign)
     numerators: dict[tuple[CouplingPath, CouplingPath], LaurentScalar] = {}
     for (out_path, in_path), amp in state.numerators.items():
         for new_path, coeff in targets[out_path]:

@@ -96,30 +96,17 @@ def jones_unnormalized(d: LinkDiagram) -> LaurentScalar:
 
 
 def skein_triple(
-    b: ColoredBraidWord, position: int, insert_index: int | None = None
+    b: ColoredBraidWord, position: int
 ) -> tuple[ColoredBraidWord, ColoredBraidWord, ColoredBraidWord]:
-    """The braids (L+, L-, L0) differing at one crossing site.
-
-    With insert_index=None, position addresses an existing letter, which is
-    replaced by its positive form, its negative form, and deleted.  With
-    insert_index=i, a new sigma_i^(+1) / sigma_i^(-1) / nothing is inserted
-    at position (valid for 0 <= position <= len(word)).
-    """
+    """The braids (L+, L-, L0) differing at one crossing site: the letter at
+    position is replaced by its positive form, its negative form, and
+    deleted."""
     w = b.word
-    if insert_index is None:
-        if not 0 <= position < len(w):
-            raise ValueError(f"position {position} addresses no generator occurrence")
-        i = abs(w[position])
-        plus = w[:position] + (i,) + w[position + 1:]
-        minus = w[:position] + (-i,) + w[position + 1:]
-        zero = w[:position] + w[position + 1:]
-    else:
-        if not 0 <= position <= len(w):
-            raise ValueError(f"insertion position {position} out of range")
-        if not 1 <= insert_index < b.strands:
-            raise ValueError(f"generator index {insert_index} out of range")
-        plus = w[:position] + (insert_index,) + w[position:]
-        minus = w[:position] + (-insert_index,) + w[position:]
-        zero = w
+    if not 0 <= position < len(w):
+        raise ValueError(f"position {position} addresses no generator occurrence")
+    i = abs(w[position])
+    plus = w[:position] + (i,) + w[position + 1:]
+    minus = w[:position] + (-i,) + w[position + 1:]
+    zero = w[:position] + w[position + 1:]
     make = lambda word: ColoredBraidWord(b.strands, b.colors, word)
     return make(plus), make(minus), make(zero)

@@ -8,7 +8,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from strategies import colored_braids
 
+from braidrt.braid import closure_components, writhe_per_component
 from braidrt.cli import (
     PIPELINES,
     ParseError,
@@ -19,6 +21,7 @@ from braidrt.cli import (
     run_invariant,
 )
 from braidrt.laurent import LaurentScalar
+from braidrt.rt_engine import evaluate_rt, framing_correction
 from braidrt.uqsl2 import SPIN_HALF, SPIN_ONE, Spin
 
 TREFOIL = "n=2; colors=1/2,1/2; word=+1 +1 +1"
@@ -91,8 +94,17 @@ def test_json_output_and_roundtrip():
     assert data["w_L"] == [[-4, "1"], [4, "1"]]
     assert data["components"] == 1 and data["writhe"] == [0]
     assert data["pipeline"] == "rt"
-    from braidrt.rt_engine import evaluate_rt
     assert LaurentScalar.from_json_terms(data["w_L"]) == evaluate_rt(b)
+
+
+@given(colored_braids(max_strands=3, max_length=6, max_twice_j=2))
+def test_json_output_round_trips(b):
+    data = json.loads(run_invariant(b, "rt", "json"))
+    w = evaluate_rt(b)
+    assert LaurentScalar.from_json_terms(data["w_L"]) == w
+    assert LaurentScalar.from_json_terms(data["I_L"]) == framing_correction(b) * w
+    assert data["writhe"] == list(writhe_per_component(b))
+    assert data["components"] == len(closure_components(b))
 
 
 def test_determinism():

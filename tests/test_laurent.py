@@ -15,7 +15,6 @@ from braidrt.laurent import (
     quantum_binomial,
     quantum_factorial,
     quantum_integer,
-    substitute_power,
 )
 
 
@@ -62,23 +61,6 @@ def test_quantum_integer_recursion():
     two = quantum_integer(2)
     for n in range(1, 14):
         assert quantum_integer(n) * two == quantum_integer(n + 1) + quantum_integer(n - 1)
-
-
-def test_substitute_power_examples():
-    a = q_power(1) + q_power(-1)
-    assert substitute_power(a, 2) == q_power(2) + q_power(-2)
-    assert substitute_power(ONE, 7) == ONE
-    assert substitute_power(q_power(1, 2) - ONE, 2) == q_power(1) - ONE
-    with pytest.raises(ValueError):
-        substitute_power(a, 0)
-
-
-def test_substitute_power_is_multiplicative():
-    rng = random.Random(7)
-    for _ in range(60):
-        a, b = rand_poly(rng), rand_poly(rng)
-        k = rng.randint(1, 4)
-        assert substitute_power(a * b, k) == substitute_power(a, k) * substitute_power(b, k)
 
 
 def test_ring_axioms_randomised():

@@ -226,11 +226,7 @@ def test_skein_triple_forms():
     lp, lm, l0 = skein_triple(b, 0)
     assert lp.word == (1, 1, 1) and lm.word == (-1, 1, 1) and l0.word == (1, 1)
     empty = B(2, (H, H), ())
-    lp, lm, l0 = skein_triple(empty, 0, insert_index=1)
-    assert lp.word == (1,) and lm.word == (-1,) and l0.word == ()
     with pytest.raises(ValueError):
         skein_triple(empty, 0)
     with pytest.raises(ValueError):
         skein_triple(b, 7)
-    with pytest.raises(ValueError):
-        skein_triple(empty, 0, insert_index=3)

@@ -7,7 +7,9 @@ skein and Jones cross-checks: flipping it mirrors every invariant).
 
 Links are presented as trace closures: the strand ending at top position k is
 joined to bottom position k.  Per-component writhe counts self-crossings
-only; crossings between distinct components are linking, not framing.
+only; crossings between distinct components are linking, not framing.  The
+framing correction, and the braid-word rewrites that every pipeline and
+oracle may use (cabling a component, the split union), live here too.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .uqsl2 import Spin
+from .laurent import LaurentScalar
+from .uqsl2 import Spin, ribbon_scalar
 
 
 class ColorMismatch(ValueError):
@@ -102,6 +105,70 @@ def writhe_per_component(b: ColoredBraidWord) -> tuple[int, ...]:
             writhes[index_of[s1]] += 1 if g > 0 else -1
         pos[i], pos[i + 1] = pos[i + 1], pos[i]
     return tuple(writhes)
+
+
+def framing_correction(b: ColoredBraidWord) -> LaurentScalar:
+    """The unit monomial prod_i ribbon_scalar(color_i)^(n_i) over the closure
+    components, n_i their self-writhes.  Each positive self-crossing gives
+    the closed-braid value w a factor ribbon_scalar^(-1), so the product
+    with w is invariant under all Markov moves: conjugation changes nothing,
+    and a stabilisation multiplies w by ribbon_scalar^(-+1) and shifts n_i
+    by +-1."""
+    out = LaurentScalar.one()
+    for (_, color), n_i in zip(closure_components(b), writhe_per_component(b)):
+        out = out * ribbon_scalar(color) ** n_i
+    return out
+
+
+def cabling(
+    b: ColoredBraidWord, component: int | None, colors: Sequence[Spin]
+) -> ColoredBraidWord:
+    """Replace the chosen closure component by len(colors) blackboard-framed
+    parallel strands colored colors, left to right; other components are
+    untouched.
+
+    component=None requires the closure to be a knot and cables it.  Each
+    original crossing becomes the block of elementary crossings moving one
+    strand group past the other; a negative crossing takes the inverse of the
+    positive block that moves the groups back, so groups of unequal widths
+    keep their strands.  No twist factors are inserted (the framing stays
+    the blackboard framing carried by the writhe).
+    """
+    components = closure_components(b)
+    if component is None:
+        if len(components) != 1:
+            raise ValueError(
+                f"closure has {len(components)} components; select a single knot component")
+        component = 0
+    if not 0 <= component < len(components):
+        raise ValueError(f"no component {component}")
+    selected = components[component][0]
+
+    widths = [len(colors) if k in selected else 1 for k in range(b.strands)]
+    cabled: list[Spin] = []
+    for k in range(b.strands):
+        cabled.extend(colors if k in selected else (b.colors[k],))
+
+    word: list[int] = []
+    cur = list(widths)
+    for g in b.word:
+        i = abs(g) - 1
+        base = 1 + sum(cur[:i])  # leftmost cabled position of the left group
+        u, v = cur[i], cur[i + 1]
+        if g > 0:
+            word.extend(base + u + s - 2 - t for s in range(1, v + 1) for t in range(u))
+        else:  # invert the positive block that moves the v-group back past the u-group
+            back = [base + v + s - 2 - t for s in range(1, u + 1) for t in range(v)]
+            word.extend(-x for x in reversed(back))
+        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+    return ColoredBraidWord(sum(widths), cabled, word)
+
+
+def split_union(left: ColoredBraidWord, right: ColoredBraidWord) -> ColoredBraidWord:
+    """Block-diagonal juxtaposition: a distant split union of the closures."""
+    shift = left.strands
+    word = left.word + tuple(g + shift if g > 0 else g - shift for g in right.word)
+    return ColoredBraidWord(shift + right.strands, left.colors + right.colors, word)
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +263,6 @@ class LinkDiagram:
 
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings)
-
-    def self_writhe(self) -> int:
-        """Sum of signs of crossings both of whose strands belong to one
-        component (the framing part of the writhe)."""
-        comp_of = {}
-        for idx, (edges, _) in enumerate(self.components):
-            for e in edges:
-                comp_of[e] = idx
-        total = 0
-        for c in self.crossings:
-            under, over = c.slots[0], c.slots[1]
-            if comp_of[under] == comp_of[over]:
-                total += c.sign
-        return total
 
 
 def braid_to_diagram(b: ColoredBraidWord) -> LinkDiagram:

@@ -23,9 +23,10 @@ import random
 import sys
 from typing import Iterable, Sequence
 
-from .braid import ColoredBraidWord, ColorMismatch, braid_to_diagram, closure_components, writhe_per_component
+from .braid import (ColoredBraidWord, ColorMismatch, braid_to_diagram, closure_components,
+                    framing_correction, split_union, writhe_per_component)
 from .laurent import LaurentScalar
-from .rt_engine import evaluate_rt, framing_correction, split_union
+from .rt_engine import evaluate_rt
 from .shadow_engine import evaluate_shadow
 from .skein_oracle import jones_unnormalized, skein_triple
 from .uqsl2 import SPIN_HALF, Spin, ribbon_scalar

@@ -36,21 +36,14 @@ moves it to its swapped key with shift + d.  A row the rest does not reach
 keeps its source's entries dict, shared and not copied; only the rows the
 rest reaches build a new dict, and the closing join applies the shifts once
 per weight and total shift.
-
-Framing enters through the per-component self-writhe n_i: each positive
-self-crossing contributes ribbon_scalar^(-1), so
-
-    framed_invariant  =  prod_i ribbon_scalar(color_i)^(n_i) * w
-
-is invariant under all Markov moves (conjugation changes nothing, a
-stabilisation multiplies w by ribbon_scalar^(-+1) and shifts n_i by +-1).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .braid import ColoredBraidWord, closure_components, writhe_per_component
+from .braid import ColoredBraidWord, cabling, closure_components, framing_correction
+from .braid import split_union  # noqa: F401  (importable here for tests/test_acceptance.py)
 from .laurent import ONE, ZERO, LaurentScalar
 # evaluate_rt does not call quantum_trace; the name stays importable here
 # because bench/tracer.py patches rt_engine.quantum_trace
@@ -60,7 +53,6 @@ from .uqsl2 import (  # noqa: F401
     WeightKey,
     braiding,
     quantum_trace,
-    ribbon_scalar,
     weight_keys,
 )
 
@@ -188,68 +180,14 @@ def evaluate_rt(b: ColoredBraidWord) -> LaurentScalar:
     return w
 
 
-def framing_correction(b: ColoredBraidWord) -> LaurentScalar:
-    """The unit monomial prod_i ribbon_scalar(color_i)^(n_i) over the closure
-    components; multiplying w by it removes the framing dependence."""
-    out = LaurentScalar.one()
-    for (_, color), n_i in zip(closure_components(b), writhe_per_component(b)):
-        out = out * ribbon_scalar(color) ** n_i
-    return out
-
-
 def framed_invariant(b: ColoredBraidWord) -> LaurentScalar:
     """The Markov-invariant value: self-writhe correction applied to w."""
     return framing_correction(b) * evaluate_rt(b)
 
 
 def two_cabling(
-    b: ColoredBraidWord,
-    component: int | None = None,
-    color_a: Spin | None = None,
-    color_b: Spin | None = None,
+    b: ColoredBraidWord, component: int | None, color_a: Spin, color_b: Spin
 ) -> ColoredBraidWord:
-    """Replace the chosen knot component by two blackboard-framed parallel
-    strands colored (color_a, color_b); other components are untouched.
-
-    component=None requires the closure to be a knot and cables it.  Each
-    original crossing becomes the block of elementary crossings moving one
-    strand group past the other; no twist factors are inserted (the framing
-    stays the blackboard framing carried by the writhe).
-    """
-    components = closure_components(b)
-    if component is None:
-        if len(components) != 1:
-            raise ValueError(
-                f"closure has {len(components)} components; select a single knot component")
-        component = 0
-    if not 0 <= component < len(components):
-        raise ValueError(f"no component {component}")
-    selected = components[component][0]
-    if color_a is None or color_b is None:
-        raise ValueError("both cable colors are required")
-
-    widths = [2 if k in selected else 1 for k in range(b.strands)]
-    colors: list[Spin] = []
-    for k in range(b.strands):
-        colors.extend((color_a, color_b) if k in selected else (b.colors[k],))
-
-    word: list[int] = []
-    cur = list(widths)
-    for g in b.word:
-        i = abs(g) - 1
-        base = 1 + sum(cur[:i])  # leftmost cabled position of the left group
-        u, v = cur[i], cur[i + 1]
-        block = [base + u + s - 2 - t for s in range(1, v + 1) for t in range(u)]
-        if g > 0:
-            word.extend(block)
-        else:
-            word.extend(-x for x in reversed(block))
-        cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    return ColoredBraidWord(sum(widths), colors, word)
-
-
-def split_union(left: ColoredBraidWord, right: ColoredBraidWord) -> ColoredBraidWord:
-    """Block-diagonal juxtaposition: a distant split union of the closures."""
-    shift = left.strands
-    word = left.word + tuple(g + shift if g > 0 else g - shift for g in right.word)
-    return ColoredBraidWord(shift + right.strands, left.colors + right.colors, word)
+    """cabling(b, component, (color_a, color_b)), under the name the
+    acceptance gate uses."""
+    return cabling(b, component, (color_a, color_b))

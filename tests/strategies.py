@@ -23,3 +23,13 @@ def colored_braids(draw, max_strands: int, max_length: int, max_twice_j: int,
         for k in strands:
             colors[k] = spin
     return ColoredBraidWord(n, colors, word)
+
+
+@st.composite
+def knot_words(draw, max_strands: int, max_length: int):
+    """(n, word) on 2..max_strands strands whose closure is a knot."""
+    n = draw(st.integers(2, max_strands))
+    gens = [s * i for i in range(1, n) for s in (1, -1)]
+    word = draw(st.lists(st.sampled_from(gens), max_size=max_length).filter(
+        lambda w: len(closure_components(ColoredBraidWord(n, (Spin(1),) * n, w))) == 1))
+    return n, tuple(word)

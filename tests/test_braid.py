@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 from strategies import colored_braids
 
 from braidrt.braid import (
@@ -9,6 +10,7 @@ from braidrt.braid import (
     ColorMismatch,
     LinkDiagram,
     braid_to_diagram,
+    cabling,
     closure_components,
     markov_moves,
     writhe_per_component,
@@ -104,11 +106,12 @@ def test_markov_moves_mixed_colors_stay_consistent():
 
 
 def test_braid_to_diagram_trefoil():
-    d = braid_to_diagram(ColoredBraidWord(2, (H, H), (1, 1, 1)))
+    b = ColoredBraidWord(2, (H, H), (1, 1, 1))
+    d = braid_to_diagram(b)
     assert len(d.crossings) == 3
     assert all(c.sign == 1 for c in d.crossings)
     assert d.writhe() == 3
-    assert d.self_writhe() == 3
+    assert sum(writhe_per_component(b)) == 3
     assert len(d.components) == 1 and not d.free_loops
     d.validate()
 
@@ -146,7 +149,11 @@ def test_diagram_matches_closure_components(b):
         color for strands, color in closed if strands & touched]
     assert list(d.free_loops) == [color for strands, color in closed if not strands & touched]
     assert sum(len(edges) for edges, _ in d.components) == 2 * len(b.word)
-    assert d.self_writhe() == sum(writhe_per_component(b))
+    # the crossings whose two strands lie on one diagram component carry the
+    # self-writhe of the braid's closure components
+    component_of = {e: idx for idx, (edges, _) in enumerate(d.components) for e in edges}
+    self_signs = [c.sign for c in d.crossings if component_of[c.slots[0]] == component_of[c.slots[1]]]
+    assert sum(self_signs) == sum(writhe_per_component(b))
 
 
 def test_diagram_validation_rejects_bad_multiplicity():
@@ -205,3 +212,15 @@ def test_closure_components_stable_under_moves():
                 continue
             assert sorted((len(s), c.twice_j)
                           for s, c in closure_components(m)) == signature
+
+
+@given(colored_braids(max_strands=3, max_length=6, max_twice_j=3), st.data())
+def test_width_one_cabling_recolors_the_component(b, data):
+    components = closure_components(b)
+    index = data.draw(st.integers(0, len(components) - 1))
+    color = Spin(data.draw(st.integers(0, 3)))
+    strands, _ = components[index]
+    recolored = tuple(color if k in strands else c for k, c in enumerate(b.colors))
+    assert cabling(b, index, (color,)) == ColoredBraidWord(b.strands, recolored, b.word)
+    if len(components) == 1:
+        assert cabling(b, None, (color,)) == ColoredBraidWord(b.strands, recolored, b.word)

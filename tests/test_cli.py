@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import colored_braids
 
-from braidrt.braid import closure_components, writhe_per_component
+from braidrt.braid import closure_components, framing_correction, writhe_per_component
 from braidrt.cli import (
     PIPELINES,
     ParseError,
@@ -21,7 +21,7 @@ from braidrt.cli import (
     run_invariant,
 )
 from braidrt.laurent import LaurentScalar
-from braidrt.rt_engine import evaluate_rt, framing_correction
+from braidrt.rt_engine import evaluate_rt
 from braidrt.uqsl2 import SPIN_HALF, SPIN_ONE, Spin
 
 TREFOIL = "n=2; colors=1/2,1/2; word=+1 +1 +1"

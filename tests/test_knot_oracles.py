@@ -1,18 +1,24 @@
 """rt and shadow against knot oracles beyond the torus family: the
-figure-eight knot at every spin in closed form, and the connected-sum law.
+figure-eight knot at every spin in closed form, the connected-sum law, and
+every knot at every spin by the Chebyshev-cabled skein oracle.
 
 The closed form uses nothing from the engines beyond the scalar ring and
-the q-integers.
+the q-integers; the cabled skein oracle uses braid-word cabling and the
+spin-1/2 Jones oracle, and no braiding.
 """
+
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import knot_words
 
-from braidrt.braid import ColoredBraidWord, closure_components
+from braidrt.braid import ColoredBraidWord, braid_to_diagram, cabling, closure_components
 from braidrt.laurent import LaurentScalar, quantum_integer
 from braidrt.rt_engine import evaluate_rt
 from braidrt.shadow_engine import evaluate_shadow
-from braidrt.uqsl2 import Spin
+from braidrt.skein_oracle import jones_unnormalized
+from braidrt.uqsl2 import SPIN_HALF, Spin
 
 FIGURE_EIGHT = (1, -2, 1, -2)
 
@@ -68,16 +74,6 @@ def test_figure_eight_conjugates_equal_the_closed_form(twice_j, u):
         assert evaluate_shadow(b) == want, b.to_spec_string()
 
 
-@st.composite
-def knot_words(draw, max_strands: int, max_length: int):
-    """(n, word) on 2..max_strands strands whose closure is a knot."""
-    n = draw(st.integers(2, max_strands))
-    gens = [s * i for i in range(1, n) for s in (1, -1)]
-    word = draw(st.lists(st.sampled_from(gens), max_size=max_length).filter(
-        lambda w: len(closure_components(ColoredBraidWord(n, (Spin(1),) * n, w))) == 1))
-    return n, tuple(word)
-
-
 def check_connected_sum(evaluate, twice_j: int, first, second) -> None:
     """Run the second knot's word shifted by n1 - 1 after the first one, on
     n1 + n2 - 1 strands: the closure is K1 # K2, and
@@ -102,3 +98,50 @@ def test_connected_sum_is_multiplicative_under_rt(twice_j, first, second):
 @given(st.integers(1, 2), knot_words(2, 5), knot_words(2, 5))
 def test_connected_sum_is_multiplicative_under_shadow(twice_j, first, second):
     check_connected_sum(evaluate_shadow, twice_j, first, second)
+
+
+def cabled_skein(knot: ColoredBraidWord) -> LaurentScalar:
+    """w of a knot at its color j from spin-1/2 values of its parallels.
+
+    In the representation ring V_j is the Chebyshev polynomial S_(2j) of
+    V_(1/2): V_j = sum_(k=0)^(floor j) (-1)^k C(2j-k, k) V_(1/2)^(x)(2j-2k)
+    (Kirby-Melvin, Invent. Math. 105, 1991).  w is linear in the color of
+    the component, and the knot colored V_(1/2)^(x)m is its blackboard
+    m-parallel K^(m) at spin 1/2, where w = t^(6 s) P with s the sign sum
+    of K^(m) and P its Jones value; the m = 0 term is the empty link, 1."""
+    (_, color), = closure_components(knot)
+    n = color.twice_j
+    total = LaurentScalar.zero()
+    for k in range(n // 2 + 1):
+        m = n - 2 * k
+        term = LaurentScalar.one()
+        if m:
+            parallel = cabling(knot, None, (SPIN_HALF,) * m)
+            term = LaurentScalar.monomial(1, 6 * parallel.sign_sum()) * \
+                jones_unnormalized(braid_to_diagram(parallel))
+        total = total + LaurentScalar.from_int((-1) ** k * comb(n - k, k)) * term
+    return total
+
+
+#: 3_1, 4_1, 5_1 and 5_2 as braid closures
+SMALL_KNOTS = {
+    "3_1": (2, (1, 1, 1)),
+    "4_1": (3, FIGURE_EIGHT),
+    "5_1": (2, (1, 1, 1, 1, 1)),
+    "5_2": (3, (1, 1, 1, 2, -1, 2)),
+}
+
+
+def test_cabled_skein_equals_rt_and_shadow_on_small_knots():
+    for name, (n, word) in SMALL_KNOTS.items():
+        for twice_j in range(4):
+            b = ColoredBraidWord(n, (Spin(twice_j),) * n, word)
+            assert evaluate_rt(b) == evaluate_shadow(b) == cabled_skein(b), (name, twice_j)
+
+
+@settings(max_examples=50)
+@given(knot_words(3, 6))
+def test_cabled_skein_equals_rt_and_shadow_at_spin_one(knot):
+    n, word = knot
+    b = ColoredBraidWord(n, (Spin(2),) * n, word)
+    assert evaluate_rt(b) == evaluate_shadow(b) == cabled_skein(b), b.to_spec_string()

@@ -3,15 +3,15 @@ shadow at every spin that uses no braiding and no Clebsch-Gordan data."""
 
 from math import gcd
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from rosso_jones import adams_multiplicities, torus_knot_invariant
 
 from braidrt.braid import ColoredBraidWord
 from braidrt.laurent import q_power
-from braidrt.rt_engine import evaluate_rt
+from braidrt.rt_engine import evaluate_rt, framed_invariant
 from braidrt.shadow_engine import evaluate_shadow
-from braidrt.uqsl2 import Spin
+from braidrt.uqsl2 import Spin, ribbon_scalar
 
 #: (m, p, twice_j): m in {2, 3} with |p| <= 7 coprime to m and 2j <= 3, and
 #: m = 4 at j = 1/2
@@ -47,6 +47,20 @@ def test_rt_and_shadow_equal_the_closed_form():
         b = torus_braid(m, p, twice_j)
         assert evaluate_rt(b) == evaluate_shadow(b) == torus_knot_invariant(m, p, twice_j), \
             b.to_spec_string()
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(CASES), st.sampled_from((1, -1)))
+def test_stabilisations_scale_the_closed_form_by_the_ribbon(case, s):
+    # sigma_m^(+-1) on m + 1 strands: the same knot with one more kink, so w
+    # gains ribbon_scalar(j)^(-+1) and framed_invariant stays
+    m, p, twice_j = case
+    b = torus_braid(m, p, twice_j)
+    j = Spin(twice_j)
+    stab = ColoredBraidWord(m + 1, (j,) * (m + 1), b.word + (s * m,))
+    want = ribbon_scalar(j) ** (-s) * torus_knot_invariant(m, p, twice_j)
+    assert evaluate_rt(stab) == evaluate_shadow(stab) == want, stab.to_spec_string()
+    assert framed_invariant(stab) == framed_invariant(b), stab.to_spec_string()
 
 
 @st.composite

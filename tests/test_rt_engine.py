@@ -8,16 +8,10 @@ from hypothesis import strategies as st
 from strategies import colored_braids
 
 from braidrt import rt_engine, uqsl2
-from braidrt.braid import ColoredBraidWord, ColorMismatch, closure_components
+from braidrt.braid import (ColoredBraidWord, ColorMismatch, cabling, closure_components,
+                           framing_correction, split_union)
 from braidrt.laurent import ONE, LaurentScalar, q_power
-from braidrt.rt_engine import (
-    evaluate_rt,
-    framed_invariant,
-    framing_correction,
-    split_union,
-    strip_operator,
-    two_cabling,
-)
+from braidrt.rt_engine import evaluate_rt, framed_invariant, strip_operator, two_cabling
 from braidrt.skein_oracle import skein_triple
 from braidrt.uqsl2 import (
     SPIN_HALF,
@@ -26,6 +20,7 @@ from braidrt.uqsl2 import (
     Spin,
     TensorOperator,
     braiding,
+    fusion_range,
     qdim,
     quantum_trace,
     ribbon_scalar,
@@ -404,11 +399,25 @@ def test_two_cabling_single_component_of_link():
     assert lhs == rhs
 
 
+@given(colored_braids(max_strands=3, max_length=6, max_twice_j=2), st.data())
+def test_cabling_fuses_into_the_channel_sum(link, data):
+    # a component cabled (a, b) carries V_a (x) V_b, the sum of V_c over the
+    # fusion channels c: gate criterion 5 at every a, b <= 1 and on links
+    components = closure_components(link)
+    index = data.draw(st.integers(0, len(components) - 1))
+    a, b = (Spin(data.draw(st.integers(0, 2))) for _ in range(2))
+    strands, _ = components[index]
+    cable = cabling(link, index, (a, b))
+    channels = LaurentScalar.zero()
+    for c in fusion_range(a, b):
+        colors = [c if k in strands else color for k, color in enumerate(link.colors)]
+        channels = channels + evaluate_rt(B(link.strands, colors, link.word))
+    assert evaluate_rt(cable) == channels, cable.to_spec_string()
+
+
 def test_two_cabling_rejects_bad_selection():
     hopf = B(2, HH, (1, 1))
     with pytest.raises(ValueError):
         two_cabling(hopf, None, H, H)  # two components, no selection
     with pytest.raises(ValueError):
         two_cabling(hopf, 5, H, H)
-    with pytest.raises(ValueError):
-        two_cabling(B(1, (H,), ()), None, H, None)

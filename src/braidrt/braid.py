@@ -9,7 +9,8 @@ Links are presented as trace closures: the strand ending at top position k is
 joined to bottom position k.  Per-component writhe counts self-crossings
 only; crossings between distinct components are linking, not framing.  The
 framing correction, and the braid-word rewrites that every pipeline and
-oracle may use (cabling a component, the split union), live here too.
+oracle may use (cabling a component, the split union, and the Markov moves
+conjugate and stabilise), live here too.
 """
 
 from __future__ import annotations
@@ -176,6 +177,23 @@ def split_union(left: ColoredBraidWord, right: ColoredBraidWord) -> ColoredBraid
 # ---------------------------------------------------------------------------
 
 
+def conjugate(b: ColoredBraidWord, g: int) -> ColoredBraidWord:
+    """Markov I: the word g^-1 b g.  Strand labels pass through the new bottom
+    crossing, so the color tuple is conjugated by the same transposition."""
+    colors = list(b.colors)
+    i = abs(g) - 1
+    colors[i], colors[i + 1] = colors[i + 1], colors[i]
+    return ColoredBraidWord(b.strands, colors, (-g,) + b.word + (g,))
+
+
+def stabilise(b: ColoredBraidWord, sign: int) -> ColoredBraidWord:
+    """Markov II: append sigma_n^sign on n+1 strands; the new strand joins the
+    component passing through top position n, and takes its color."""
+    n = b.strands
+    color = b.colors[b.permutation().index(n - 1)]
+    return ColoredBraidWord(n + 1, b.colors + (color,), b.word + (sign * n,))
+
+
 def markov_moves(b: ColoredBraidWord) -> list[ColoredBraidWord]:
     """Neighbours of b under braid relations, far commutation, free
     cancellation, conjugation, stabilisation and (single-occurrence)
@@ -200,20 +218,8 @@ def markov_moves(b: ColoredBraidWord) -> list[ColoredBraidWord]:
     for k in range(len(w) - 1):
         if w[k] == -w[k + 1]:
             out.append(with_word(w[:k] + w[k + 2:]))
-    # conjugation (Markov I): strand labels pass through the new bottom
-    # crossing, so the color tuple is conjugated by the same transposition
-    for i in range(1, n):
-        conj_colors = list(b.colors)
-        conj_colors[i - 1], conj_colors[i] = conj_colors[i], conj_colors[i - 1]
-        for s in (i, -i):
-            out.append(ColoredBraidWord(n, conj_colors, (-s,) + w + (s,)))
-    # stabilisation (Markov II): append sigma_n^(+-1) on n+1 strands; the new
-    # strand joins the component passing through top position n
-    perm = b.permutation()
-    top_strand = perm.index(n - 1)
-    stab_colors = b.colors + (b.colors[top_strand],)
-    for s in (n, -n):
-        out.append(ColoredBraidWord(n + 1, stab_colors, w + (s,)))
+    out.extend(conjugate(b, s) for i in range(1, n) for s in (i, -i))
+    out.extend(stabilise(b, sign) for sign in (1, -1))
     # destabilisation when the top generator occurs exactly once
     if n >= 2:
         occurrences = [k for k, g in enumerate(w) if abs(g) == n - 1]

@@ -86,18 +86,7 @@ class LaurentScalar:
         return out
 
     def __sub__(self, other: LaurentScalar) -> LaurentScalar:
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        acc = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            c = acc.get(exp, 0) - coeff
-            if c:
-                acc[exp] = c
-            else:
-                acc.pop(exp, None)
-        out = LaurentScalar.__new__(LaurentScalar)
-        out._terms = acc
-        return out
+        return self + -other
 
     def __neg__(self) -> LaurentScalar:
         out = LaurentScalar.__new__(LaurentScalar)
@@ -224,11 +213,8 @@ class LaurentScalar:
 
     @staticmethod
     def from_json_terms(data: Iterable) -> LaurentScalar:
-        terms = {}
-        for pair in data:
-            exp, coeff = pair
-            terms[int(exp)] = terms.get(int(exp), 0) + int(coeff)
-        return LaurentScalar(terms)
+        """The inverse of to_json_terms; repeated exponents are summed."""
+        return LaurentScalar((int(exp), int(coeff)) for exp, coeff in data)
 
 
 _ZERO = LaurentScalar()
@@ -270,24 +256,19 @@ def quantum_factorial(n: int) -> LaurentScalar:
 def quantum_binomial(n: int, k: int) -> LaurentScalar:
     """The balanced Gaussian binomial [n]! / ([k]! [n-k]!) as a polynomial.
 
-    Built from the Pascal recursion on unbalanced Gaussian binomials in the
-    variable q^2, then recentred; no division is performed.
+    Built row by row from the balanced Pascal rule
+    [m, j] = q^j [m-1, j] + q^(j-m) [m-1, j-1], each power of q an exponent
+    shift, over the columns j <= min(k, n-k); no division is performed.
     """
     if k < 0 or k > n:
         return _ZERO
     k = min(k, n - k)
-    # Unbalanced Pascal: G(n, k) = G(n-1, k-1) + Q^k G(n-1, k) with Q = q^2.
-    row = [_ONE]
+    row = [_ONE]  # [m-1, j] for j = 0 ... min(m-1, k)
     for m in range(1, n + 1):
-        new_row = [_ONE]
-        for j in range(1, min(m, k) + 1):
-            left = row[j - 1]
-            right = row[j] * LaurentScalar.monomial(1, 8 * j) if j < len(row) else _ZERO
-            new_row.append(left + right)
-        row = new_row
-    gauss = row[k] if k < len(row) else _ZERO
-    # Balanced form: divide by q^(k(n-k)) as an exponent shift.
-    return gauss * LaurentScalar.monomial(1, -4 * k * (n - k))
+        row = [_ONE] + [
+            row[j - 1].shift(4 * (j - m)) + (row[j].shift(4 * j) if j < len(row) else _ZERO)
+            for j in range(1, min(m, k) + 1)]
+    return row[k]
 
 
 def divide_exact(numerator: LaurentScalar, denominator: LaurentScalar) -> LaurentScalar:

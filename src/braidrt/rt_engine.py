@@ -63,11 +63,11 @@ def strip_operator(b: ColoredBraidWord, position: int) -> TensorOperator:
     slot.  Columns are indexed by the incoming color tuple, rows by the
     outgoing (swapped) tuple.
 
-    The entries are the cached braiding's own scalars, placed into
-    id (x) Rhat (x) id with no product; the colors are read off the word.
-    This is the reference strip for the tests and the acceptance gate;
-    evaluate_rt does not build it, since its folds apply each letter as a
-    swap, a row factor and the unipotent rest.
+    It is the Kronecker product id (x) Rhat (x) id of the cached braiding
+    with the identities on the slots to its left and right; the colors are
+    read off the word.  This is the reference strip for the tests and the
+    acceptance gate; evaluate_rt does not build it, since its folds apply
+    each letter as a swap, a row factor and the unipotent rest.
     """
     if not 0 <= position < len(b.word):
         raise ValueError(f"position {position} out of range for word of length {len(b.word)}")
@@ -77,14 +77,9 @@ def strip_operator(b: ColoredBraidWord, position: int) -> TensorOperator:
         colors[i], colors[i + 1] = colors[i + 1], colors[i]
     g = b.word[position]
     i = abs(g) - 1
-    left, right = tuple(colors[:i]), tuple(colors[i + 2:])
     rhat = braiding(colors[i], colors[i + 1], 1 if g > 0 else -1)
-    op = TensorOperator(left + rhat.row_spins + right, left + rhat.col_spins + right)
-    for lk in weight_keys(left):
-        for rk in weight_keys(right):
-            for r, row in rhat.rows.items():
-                op.rows[lk + r + rk] = {lk + c + rk: v for c, v in row.items()}
-    return op
+    return (TensorOperator.identity(colors[:i]).tensor(rhat)
+            .tensor(TensorOperator.identity(colors[i + 2:])))
 
 
 @lru_cache(maxsize=None)

@@ -329,19 +329,11 @@ class TensorOperator:
         of the identity (used to read off Schur scalars)."""
         if not self.is_square():
             raise ValueError("not an endomorphism")
-        keys = list(weight_keys(self.row_spins))
-        s: ScalarLike | None = None
-        for r in keys:
-            diag = self.rows.get(r, {}).get(r, ZERO)
-            if s is None:
-                s = diag
-            elif not s == diag:
-                raise ValueError("operator is not a multiple of the identity")
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                if r != c and not v.is_zero():
-                    raise ValueError("operator is not a multiple of the identity")
-        return s if s is not None else ZERO
+        first = next(weight_keys(self.row_spins))
+        s = self.entry(first, first)
+        if self != TensorOperator.identity(self.row_spins).scale(s):
+            raise ValueError("operator is not a multiple of the identity")
+        return s
 
 
 def weight_keys(spins: Iterable[Spin]) -> Iterator[WeightKey]:
@@ -455,18 +447,17 @@ def _highest_weight_vector(a: Spin, b: Spin, c: Spin) -> dict[WeightKey, Laurent
         m1 = a.twice_j - 2 * k
         m2 = c.twice_j - a.twice_j + 2 * k
         qexp = -k * ((c.twice_j - a.twice_j) + k + 1)
-        coeff = quantum_binomial(n_abc, k) * LaurentScalar.monomial(
+        vec[(m1, m2)] = quantum_binomial(n_abc, k) * LaurentScalar.monomial(
             -1 if k % 2 else 1, 4 * qexp)
-        if not coeff.is_zero():
-            vec[(m1, m2)] = coeff
     return vec
 
 
 def _primitive(op: TensorOperator) -> TensorOperator:
-    """Divide all entries by their common polynomial factor and normalise the
-    residual unit so the lexicographically largest entry has minimum exponent
-    zero and positive leading coefficient (canonical rescaling; any scalar
-    multiple of an intertwiner is an intertwiner)."""
+    """Divide all entries of a nonzero operator (phi and psi_raw always are)
+    by their common polynomial factor and normalise the residual unit so the
+    lexicographically largest entry has minimum exponent zero and positive
+    leading coefficient (canonical rescaling; any scalar multiple of an
+    intertwiner is an intertwiner)."""
     content = ZERO
     anchor_entry = None
     for r in sorted(op.rows):
@@ -474,8 +465,6 @@ def _primitive(op: TensorOperator) -> TensorOperator:
         for c in sorted(row):
             content = gcd(content, row[c])
             anchor_entry = (r, c)
-    if content.is_zero():
-        return op
     divided = {
         r: {c: divide_exact(v, content) for c, v in row.items()}
         for r, row in op.rows.items()
@@ -500,9 +489,7 @@ def _phi_integral(a: Spin, b: Spin, c: Spin) -> TensorOperator:
         m_c = c.twice_j - 2 * k
         fact = quantum_factorial(c.twice_j - k)
         for key, coeff in vec.items():
-            val = coeff * fact
-            if not val.is_zero():
-                op.rows.setdefault(key, {})[(m_c,)] = val
+            op.rows.setdefault(key, {})[(m_c,)] = coeff * fact
         if k < c.twice_j:
             vec = _delta_F_apply(a, b, vec)
     return _primitive(op)

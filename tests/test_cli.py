@@ -2,8 +2,11 @@
 
 import io
 import json
+import re
+import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -129,6 +132,33 @@ def test_main_invariant_exit_codes(capsys, tmp_path):
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert len(lines) >= 2
     assert json.loads(lines[-2])["components"] == 1
+
+
+@pytest.mark.parametrize("head", ["", "# specs\n"])
+def test_batch_file_with_a_byte_order_mark(tmp_path, capsys, head):
+    # editors may save with a UTF-8 BOM; it must not become part of the first key
+    batch = tmp_path / "bom.txt"
+    batch.write_text(f"{head}{TREFOIL}\n", encoding="utf-8-sig")
+    assert batch.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["invariant", "--spec", str(batch)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == run_invariant(parse_braid_spec(TREFOIL), "rt", "text") + "\n"
+    assert captured.err == ""
+
+
+def test_readme_examples_reproduce_byte_for_byte(capsys):
+    # each fenced block of README.md that opens with "$ braidrt ..." is that
+    # command followed by its exact standard output
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```$", readme, re.M | re.S):
+        command, _, output = block.partition("\n")
+        if command.startswith("$ braidrt "):
+            examples.append((command, output))
+    assert len(examples) == 2
+    for command, output in examples:
+        assert main(shlex.split(command)[2:]) == 0, command
+        assert capsys.readouterr().out == output, command
 
 
 @pytest.mark.parametrize("output_format", ["text", "json"])

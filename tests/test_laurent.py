@@ -104,10 +104,12 @@ def test_pow_multiplication_count(monkeypatch):
 
 
 def test_quantum_binomial_matches_factorial_ratio():
-    for n in range(7):
+    for n in range(17):
+        assert quantum_binomial(n, -1) == ZERO and quantum_binomial(n, n + 1) == ZERO
         for k in range(n + 1):
             lhs = quantum_binomial(n, k) * quantum_factorial(k) * quantum_factorial(n - k)
-            assert lhs == quantum_factorial(n)
+            assert lhs == quantum_factorial(n), (n, k)
+            assert quantum_binomial(n, k) == quantum_binomial(n, n - k), (n, k)
 
 
 def test_divide_exact_roundtrip():

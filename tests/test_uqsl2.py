@@ -281,6 +281,21 @@ def test_tensor_operator_shape_checks():
     assert len(list(weight_keys((H, Spin(2))))) == 6
 
 
+def test_proportionality_scalar_reads_only_multiples_of_the_identity():
+    two = quantum_integer(2)
+    assert I((H, Spin(2))).scale(two).proportionality_scalar() == two
+    assert TensorOperator((H,), (H,)).proportionality_scalar() == ZERO
+    off_diagonal = I((H,))
+    off_diagonal.rows[(1,)][(-1,)] = ONE
+    unequal = TensorOperator((H,), (H,))
+    unequal.rows = {(1,): {(1,): ONE}, (-1,): {(-1,): two}}
+    missing = TensorOperator((H,), (H,))
+    missing.rows = {(1,): {(1,): ONE}}
+    for op in (off_diagonal, unequal, missing, TensorOperator((H,), (Spin(2),))):
+        with pytest.raises(ValueError):
+            op.proportionality_scalar()
+
+
 def test_fraction_scalar_arithmetic():
     two = quantum_integer(2)
     half = FractionScalar(ONE, two)

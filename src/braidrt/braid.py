@@ -10,7 +10,8 @@ joined to bottom position k.  Per-component writhe counts self-crossings
 only; crossings between distinct components are linking, not framing.  The
 framing correction, and the braid-word rewrites that every pipeline and
 oracle may use (cabling a component, the split union, and the Markov moves
-conjugate and stabilise), live here too.
+conjugate, stabilise and destabilise), live here too, with reduce_closure,
+which shortens a word by those moves before the command line evaluates it.
 """
 
 from __future__ import annotations
@@ -194,6 +195,27 @@ def stabilise(b: ColoredBraidWord, sign: int) -> ColoredBraidWord:
     return ColoredBraidWord(n + 1, b.colors + (color,), b.word + (sign * n,))
 
 
+def destabilise(b: ColoredBraidWord, first: bool = False) -> ColoredBraidWord:
+    """Markov II undone: sigma_(n-1) occurs exactly once; drop it and the
+    last strand.  With first=True, sigma_1 occurs exactly once; drop it and
+    strand 0, and every other letter moves down by one.
+
+    No rotation is needed: A sigma B is conjugate to B A sigma, the
+    stabilisation of B A, which is conjugate to A B.  The dropped letter
+    was a kink of the dropped strand's color j, so with its sign s
+    w(b) = ribbon_scalar(j)^(-s) w(destabilise(b)); for first=True the same
+    holds mirrored by the half twist, which sends sigma_i to sigma_(n-i).
+    """
+    n = b.strands
+    slot = 1 if first else n - 1
+    if n < 2 or sum(abs(g) == slot for g in b.word) != 1:
+        raise ValueError(f"sigma_{slot} does not occur exactly once")
+    if first:
+        return ColoredBraidWord(n - 1, b.colors[1:],
+                                [g - 1 if g > 0 else g + 1 for g in b.word if abs(g) != 1])
+    return ColoredBraidWord(n - 1, b.colors[:-1], [g for g in b.word if abs(g) != n - 1])
+
+
 def markov_moves(b: ColoredBraidWord) -> list[ColoredBraidWord]:
     """Neighbours of b under braid relations, far commutation, free
     cancellation, conjugation, stabilisation and (single-occurrence)
@@ -220,13 +242,102 @@ def markov_moves(b: ColoredBraidWord) -> list[ColoredBraidWord]:
             out.append(with_word(w[:k] + w[k + 2:]))
     out.extend(conjugate(b, s) for i in range(1, n) for s in (i, -i))
     out.extend(stabilise(b, sign) for sign in (1, -1))
-    # destabilisation when the top generator occurs exactly once
-    if n >= 2:
-        occurrences = [k for k, g in enumerate(w) if abs(g) == n - 1]
-        if len(occurrences) == 1:
-            k = occurrences[0]
-            out.append(ColoredBraidWord(n - 1, b.colors[:-1], w[:k] + w[k + 1:]))
+    if n >= 2 and sum(abs(g) == n - 1 for g in w) == 1:
+        out.append(destabilise(b))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Closure reduction
+# ---------------------------------------------------------------------------
+
+
+def _cancel(b: ColoredBraidWord) -> ColoredBraidWord:
+    """b with every inverse pair cancelled, across commuting letters and
+    around the closure; the closure's colors stay as they are.
+
+    One pass cancels each letter g against a later -g whenever every letter
+    between them commutes with g, nested pairs included.  live[i] holds the
+    indices of the uncancelled letters of generator i, so a letter's
+    partner is the last one of its own generator, and the last ones of the
+    two neighbouring generators say whether a letter between them blocks
+    it.  A letter that blocks another is never cancelled later, so the
+    first letter of generator i commutes with every letter before it when
+    the neighbours' first letters come after it, and likewise at the back.
+    Such an x in front and -x at the back make the word x W x^-1, conjugate
+    to W with the colors at slot i swapped, as in conjugate; then another
+    pass runs.
+    """
+    n, word, colors = b.strands, b.word, list(b.colors)
+    while True:
+        out: list[int] = []
+        live: list[list[int]] = [[] for _ in range(n + 1)]
+        for g in word:
+            a = abs(g)
+            mine, below, above = live[a], live[a - 1], live[a + 1]
+            if (mine and out[mine[-1]] == -g and not (below and below[-1] > mine[-1])
+                    and not (above and above[-1] > mine[-1])):
+                out[mine.pop()] = 0
+            else:
+                mine.append(len(out))
+                out.append(g)
+        cyclic = False
+        for a in range(1, n):
+            mine, below, above = live[a], live[a - 1], live[a + 1]
+            if mine and out[mine[0]] == -out[mine[-1]]:
+                first, last = mine[0], mine[-1]
+                if (not (below and (below[0] < first or below[-1] > last))
+                        and not (above and (above[0] < first or above[-1] > last))):
+                    out[first] = out[last] = 0
+                    colors[a - 1], colors[a] = colors[a], colors[a - 1]
+                    cyclic = True
+        word = [g for g in out if g]
+        if not cyclic:
+            break
+    return b if len(word) == len(b.word) else ColoredBraidWord(n, colors, word)
+
+
+def reduce_closure(b: ColoredBraidWord) -> tuple[LaurentScalar, list[ColoredBraidWord]]:
+    """(factor, pieces) with w(b) = factor * prod w(piece), by three exact
+    moves repeated until none applies:
+
+    - cancel inverse pairs across commuting letters and around the closure
+      (_cancel), which leaves the colors of the closure as they are;
+    - split where a generator i never occurs: the closure is the split
+      union of strands 1..i and i+1..n;
+    - destabilise a single sigma_(n-1) or sigma_1 with its strand, for a
+      ribbon monomial in the factor.
+
+    No move adds a letter or a strand, or changes a per-component writhe of
+    the closure.  A piece reduces to itself with the factor one.
+    """
+    factor = LaurentScalar.one()
+    pieces: list[ColoredBraidWord] = []
+    # Each braid on the stack is cancelled: the blocks of a split are
+    # already, as no letter of one block blocks a letter of another.
+    todo = [_cancel(b)]
+    while todo:
+        b = todo.pop()
+        n, word = b.strands, b.word
+        count = [0] * (n + 1)
+        for g in word:
+            count[abs(g)] += 1
+        cuts = [i for i in range(1, n) if not count[i]]
+        if cuts:
+            bounds = [0, *cuts, n]
+            for lo, hi in reversed(list(zip(bounds, bounds[1:]))):
+                todo.append(ColoredBraidWord(
+                    hi - lo, b.colors[lo:hi],
+                    [g - lo if g > 0 else g + lo for g in word if lo < abs(g) < hi]))
+        elif count[n - 1] == 1:
+            factor = factor * ribbon_scalar(b.colors[-1]) ** (-1 if n - 1 in word else 1)
+            todo.append(_cancel(destabilise(b)))
+        elif count[1] == 1:
+            factor = factor * ribbon_scalar(b.colors[0]) ** (-1 if 1 in word else 1)
+            todo.append(_cancel(destabilise(b, first=True)))
+        else:
+            pieces.append(b)
+    return factor, pieces
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import sys
 from typing import Iterable, Sequence
 
 from .braid import (ColoredBraidWord, ColorMismatch, braid_to_diagram, closure_components,
-                    conjugate, framing_correction, split_union, stabilise,
+                    conjugate, framing_correction, reduce_closure, split_union, stabilise,
                     writhe_per_component)
 from .laurent import LaurentScalar
 from .rt_engine import evaluate_rt
@@ -119,16 +119,24 @@ def _evaluate(b: ColoredBraidWord, pipeline: str) -> LaurentScalar:
     if pipeline == "shadow":
         return evaluate_shadow(b)
     if pipeline == "skein":
-        if any(c != SPIN_HALF for c in b.colors):
-            raise ColorMismatch("the skein pipeline requires all-fundamental colors")
         jones = jones_unnormalized(braid_to_diagram(b))
         return LaurentScalar.monomial(1, 6 * b.sign_sum()) * jones
     raise ValueError(f"unknown pipeline {pipeline!r}")
 
 
 def run_invariant(b: ColoredBraidWord, pipeline: str, output_format: str = "text") -> str:
-    """Evaluate one braid and render w_L, I_L, writhes and component count."""
-    w = _evaluate(b, pipeline)
+    """Evaluate one braid and render w_L, I_L, writhes and component count.
+
+    The coloring is checked on b as given.  w_L is then evaluated on the
+    pieces of reduce_closure(b), while the writhes, the component count
+    and the framing correction come from b itself.
+    """
+    if pipeline == "skein" and any(c != SPIN_HALF for c in b.colors):
+        raise ColorMismatch("the skein pipeline requires all-fundamental colors")
+    closure_components(b)  # raises ColorMismatch before any move hides a strand
+    w, pieces = reduce_closure(b)
+    for piece in pieces:
+        w = w * _evaluate(piece, pipeline)
     invariant = framing_correction(b) * w
     writhes = writhe_per_component(b)
     components = len(closure_components(b))

@@ -1,7 +1,7 @@
 """Braid presentations: closures, writhes, Markov moves, planar diagrams."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import colored_braids
 
@@ -12,10 +12,16 @@ from braidrt.braid import (
     braid_to_diagram,
     cabling,
     closure_components,
+    conjugate,
+    destabilise,
     markov_moves,
+    reduce_closure,
     writhe_per_component,
 )
-from braidrt.uqsl2 import SPIN_HALF, SPIN_ONE, Spin
+from braidrt.laurent import LaurentScalar
+from braidrt.rt_engine import evaluate_rt
+from braidrt.shadow_engine import evaluate_shadow
+from braidrt.uqsl2 import SPIN_HALF, SPIN_ONE, Spin, qdim, ribbon_scalar
 
 H = SPIN_HALF
 
@@ -224,3 +230,96 @@ def test_width_one_cabling_recolors_the_component(b, data):
     assert cabling(b, index, (color,)) == ColoredBraidWord(b.strands, recolored, b.word)
     if len(components) == 1:
         assert cabling(b, None, (color,)) == ColoredBraidWord(b.strands, recolored, b.word)
+
+
+# ---------------------------------------------------------------------------
+# destabilise and reduce_closure
+# ---------------------------------------------------------------------------
+
+ONE = LaurentScalar.one()
+
+
+def reduced_value(b, evaluate):
+    """factor * prod evaluate(piece) over reduce_closure(b)."""
+    factor, pieces = reduce_closure(b)
+    for piece in pieces:
+        factor = factor * evaluate(piece)
+    return factor
+
+
+def test_destabilise_drops_the_last_or_the_first_strand():
+    b = ColoredBraidWord(4, (H, SPIN_ONE, Spin(3), Spin(3)), (1, -1, 2, -2, -3))
+    assert destabilise(b) == ColoredBraidWord(3, (H, SPIN_ONE, Spin(3)), (1, -1, 2, -2))
+    b = ColoredBraidWord(4, (H, H, SPIN_ONE, Spin(3)), (1, 2, -2, 3, 3))
+    assert destabilise(b, first=True) == ColoredBraidWord(3, (H, SPIN_ONE, Spin(3)),
+                                                          (1, -1, 2, 2))
+    with pytest.raises(ValueError):
+        destabilise(ColoredBraidWord(3, (H,) * 3, (1, 2, 2)))
+    with pytest.raises(ValueError):
+        destabilise(ColoredBraidWord(3, (H,) * 3, (2, 1, 1)), first=True)
+
+
+def test_reduce_closure_cancels_across_commuting_letters():
+    b = ColoredBraidWord(4, (H,) * 4, (1, 3, -1, 1, 2, 1, 2, 3))
+    assert reduce_closure(b) == (ONE, [ColoredBraidWord(4, (H,) * 4, (3, 1, 2, 1, 2, 3))])
+
+
+def test_reduce_closure_cancels_around_the_closure_and_swaps_the_colors():
+    # the letters of -1 and +1 around the word do not cancel in the word,
+    # only in the closure: the word is conjugate(b, -1), and the slot swap
+    # of its colors is undone
+    b = ColoredBraidWord(3, (H, SPIN_ONE, Spin(0)), (1, 1, 2, 2))
+    conjugated = conjugate(b, -1)
+    assert conjugated.word == (1, 1, 1, 2, 2, -1)
+    assert conjugated.colors == (SPIN_ONE, H, Spin(0))
+    assert reduce_closure(conjugated) == (ONE, [b])
+    assert evaluate_rt(conjugated) == evaluate_rt(b)
+
+
+def test_reduce_closure_splits_where_a_generator_is_missing():
+    b = ColoredBraidWord(4, (H, H, SPIN_ONE, Spin(0)), (1, 3, 1, 3))
+    assert reduce_closure(b) == (ONE, [ColoredBraidWord(2, (H, H), (1, 1)),
+                                       ColoredBraidWord(2, (SPIN_ONE, Spin(0)), (1, 1))])
+
+
+def test_reduce_closure_destabilises_the_last_strand():
+    b = ColoredBraidWord(4, (Spin(0), H, SPIN_ONE, SPIN_ONE), (1, 1, 2, 2, -3))
+    assert reduce_closure(b) == (ribbon_scalar(SPIN_ONE),
+                                 [ColoredBraidWord(3, (Spin(0), H, SPIN_ONE), (1, 1, 2, 2))])
+
+
+def test_reduce_closure_destabilises_the_first_strand():
+    b = ColoredBraidWord(4, (H, H, SPIN_ONE, Spin(3)), (1, 2, 2, 3, 3))
+    assert reduce_closure(b) == (ribbon_scalar(H) ** -1,
+                                 [ColoredBraidWord(3, (H, SPIN_ONE, Spin(3)), (1, 1, 2, 2))])
+
+
+def test_reduce_closure_of_a_wide_kink_is_a_product_of_unknots():
+    b = ColoredBraidWord(40, (H,) * 40, (1, -1, 39))
+    factor, pieces = reduce_closure(b)
+    assert factor == ribbon_scalar(H) ** -1
+    assert pieces == [ColoredBraidWord(1, (H,))] * 39
+    assert reduced_value(b, evaluate_rt) == factor * qdim(H) ** 39
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_braids(max_strands=5, max_length=8, max_twice_j=2))
+def test_reduce_closure_keeps_the_rt_value(b):
+    assert reduced_value(b, evaluate_rt) == evaluate_rt(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_braids(max_strands=3, max_length=8, max_twice_j=2))
+def test_reduce_closure_keeps_the_shadow_value(b):
+    assert reduced_value(b, evaluate_shadow) == evaluate_shadow(b)
+
+
+@settings(max_examples=300)
+@given(colored_braids(max_strands=6, max_length=14, max_twice_j=3))
+def test_reduce_closure_shrinks_and_its_pieces_are_reduced(b):
+    _, pieces = reduce_closure(b)
+    assert sum(len(piece.word) for piece in pieces) <= len(b.word)
+    assert sum(piece.strands for piece in pieces) <= b.strands
+    for piece in pieces:
+        closure_components(piece)  # every piece is consistently colored
+        assert reduce_closure(piece) == (ONE, [piece])

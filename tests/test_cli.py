@@ -25,7 +25,7 @@ from braidrt.cli import (
 )
 from braidrt.laurent import LaurentScalar
 from braidrt.rt_engine import evaluate_rt
-from braidrt.uqsl2 import SPIN_HALF, SPIN_ONE, Spin
+from braidrt.uqsl2 import SPIN_HALF, SPIN_ONE, Spin, qdim, ribbon_scalar
 
 TREFOIL = "n=2; colors=1/2,1/2; word=+1 +1 +1"
 
@@ -178,6 +178,47 @@ def test_batch_prints_results_before_a_failing_spec(tmp_path, monkeypatch, outpu
     assert out.startswith(head)
     error = out[len(head):]
     assert error.count("\n") == 1 and "coloring" in error
+
+
+WIDE_KINK = "n=40; colors=" + ",".join(["1/2"] * 40) + "; word=+1 -1 +39"
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_a_wide_braid_with_few_crossings_is_one_kink_and_unknots(capsys, pipeline):
+    # unreduced, rt would fold every weight key of 40 strands, 2^39 of them
+    # with total weight >= 0; reduced, it is one kink and 39 unknots
+    assert main(["invariant", "--spec", WIDE_KINK, "--pipeline", pipeline,
+                 "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    w = LaurentScalar.from_json_terms(result["w_L"])
+    assert w == ribbon_scalar(SPIN_HALF) ** -1 * qdim(SPIN_HALF) ** 39
+    # the writhes and the component count are those of the braid as given
+    assert result["components"] == 39
+    assert result["writhe"] == [0] * 38 + [1]
+
+
+@pytest.mark.parametrize("pipeline", ["rt", "shadow"])
+@pytest.mark.parametrize("spec, strands", [
+    # both letters destabilise, so the reduced braid is one strand of spin 1/2
+    ("n=3; colors=1/2,1/2,1; word=+1 +2", "0 and 2"),
+    # the split leaves the faulty component as strands 0 and 1 of a piece
+    ("n=3; colors=1,1/2,1; word=+2 +2 +2", "1 and 2"),
+])
+def test_a_coloring_error_is_reported_on_the_braid_as_given(capsys, pipeline, spec, strands):
+    assert main(["invariant", "--spec", spec, "--pipeline", pipeline]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error (coloring): strands {strands} lie on one component but "
+                            f"carry colors 1/2 and 1  [spec: {spec}]\n")
+
+
+def test_skein_rejects_other_colors_before_the_coloring_check(capsys):
+    spec = "n=2; colors=1,1/2; word=+1"
+    assert main(["invariant", "--spec", spec, "--pipeline", "skein"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error (coloring): the skein pipeline requires all-fundamental "
+                            f"colors  [spec: {spec}]\n")
 
 
 def test_main_crosscheck(capsys):

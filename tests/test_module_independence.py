@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import braidrt
+from braidrt import cli
 
 PACKAGE = Path(braidrt.__file__).parent
 ENGINES = {"rt_engine", "shadow_engine"}
@@ -64,3 +65,18 @@ def test_skein_oracle_imports_no_engine_and_only_the_fundamental_spin():
 
 def test_cli_takes_only_evaluate_rt_from_rt_engine():
     assert imports("cli")["rt_engine"] == {"evaluate_rt"}
+
+
+def test_only_the_command_line_reduces_a_braid():
+    assert "reduce_closure" in imports("cli")["braid"]
+    for module in ("rt_engine", "shadow_engine", "skein_oracle"):
+        assert "reduce_closure" not in imports(module).get("braid", set()), module
+
+
+def test_crosscheck_evaluates_the_words_as_given(monkeypatch):
+    def refuse(b):
+        raise AssertionError(f"crosscheck reduced {b.to_spec_string()}")
+
+    monkeypatch.setattr(cli, "reduce_closure", refuse)
+    report, all_pass = cli.run_crosscheck(samples=5)
+    assert all_pass, report

@@ -6,21 +6,22 @@ strand at position i (one global convention, validated downstream by the
 skein and Jones cross-checks: flipping it mirrors every invariant).
 
 Links are presented as trace closures: the strand ending at top position k is
-joined to bottom position k.  Per-component writhe counts self-crossings
-only; crossings between distinct components are linking, not framing.  The
-framing correction, and the braid-word rewrites that every pipeline and
-oracle may use (cabling a component, the split union, and the Markov moves
-conjugate, stabilise and destabilise), live here too, with reduce_closure,
-which shortens a word by those moves before the command line evaluates it.
+joined to bottom position k.  closure_record walks the closure once for its
+components with their colors and self-writhes (crossings between distinct
+components are linking, not framing); the framing correction reads it.  The
+braid-word rewrites that every pipeline and oracle may use (cabling, the split
+union, and the Markov moves conjugate, stabilise and destabilise) live here
+too, with reduce_closure, which shortens a word before the command line evaluates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Iterable, Sequence
 
-from .laurent import LaurentScalar
-from .uqsl2 import Spin, ribbon_scalar
+from .laurent import ONE, LaurentScalar
+from .uqsl2 import Spin, qdim, ribbon_scalar
 
 
 class ColorMismatch(ValueError):
@@ -67,59 +68,56 @@ class ColoredBraidWord:
 
 
 def closure_components(b: ColoredBraidWord) -> tuple[tuple[frozenset[int], Spin], ...]:
-    """Cycles of the closure permutation with their (consistent) colors,
-    ordered by smallest strand position; raises ColorMismatch otherwise."""
+    """closure_record(b) without the writhes: the cycles of the closure permutation
+    with their (consistent) colors, by smallest strand; raises ColorMismatch otherwise."""
     perm = b.permutation()
     seen = [False] * b.strands
     components = []
     for start in range(b.strands):
         if seen[start]:
             continue
-        cycle = []
-        k = start
+        cycle, k, color = [], start, b.colors[start]
         while not seen[k]:
-            seen[k] = True
-            cycle.append(k)
-            k = perm[k]
-        color = b.colors[start]
-        for k in cycle:
             if b.colors[k] != color:
                 raise ColorMismatch(
                     f"strands {start} and {k} lie on one component but carry "
                     f"colors {color} and {b.colors[k]}")
+            seen[k] = True
+            cycle.append(k)
+            k = perm[k]
         components.append((frozenset(cycle), color))
     return tuple(components)
 
 
-def writhe_per_component(b: ColoredBraidWord) -> tuple[int, ...]:
-    """Self-crossing sign sums n_i, in the order of closure_components."""
+def closure_record(b: ColoredBraidWord) -> tuple[tuple[frozenset[int], Spin, int], ...]:
+    """The closure as one record: each component of closure_components(b) as
+    (strands, color, n_i), n_i the sign sum of its self-crossings."""
     components = closure_components(b)
-    index_of = {}
+    at = [0] * b.strands  # at[p] = index of the component at position p
     for idx, (strands, _) in enumerate(components):
         for k in strands:
-            index_of[k] = idx
+            at[k] = idx
     writhes = [0] * len(components)
-    pos = list(range(b.strands))
     for g in b.word:
         i = abs(g) - 1
-        s1, s2 = pos[i], pos[i + 1]
-        if index_of[s1] == index_of[s2]:
-            writhes[index_of[s1]] += 1 if g > 0 else -1
-        pos[i], pos[i + 1] = pos[i + 1], pos[i]
-    return tuple(writhes)
+        if at[i] == at[i + 1]:
+            writhes[at[i]] += 1 if g > 0 else -1
+        at[i], at[i + 1] = at[i + 1], at[i]
+    return tuple((strands, color, n_i) for (strands, color), n_i in zip(components, writhes))
 
 
-def framing_correction(b: ColoredBraidWord) -> LaurentScalar:
-    """The unit monomial prod_i ribbon_scalar(color_i)^(n_i) over the closure
-    components, n_i their self-writhes.  Each positive self-crossing gives
-    the closed-braid value w a factor ribbon_scalar^(-1), so the product
-    with w is invariant under all Markov moves: conjugation changes nothing,
-    and a stabilisation multiplies w by ribbon_scalar^(-+1) and shifts n_i
-    by +-1."""
-    out = LaurentScalar.one()
-    for (_, color), n_i in zip(closure_components(b), writhe_per_component(b)):
-        out = out * ribbon_scalar(color) ** n_i
-    return out
+def writhe_per_component(b: ColoredBraidWord) -> tuple[int, ...]:
+    """Self-crossing sign sums n_i, in the order of closure_components."""
+    return tuple(n_i for _, _, n_i in closure_record(b))
+
+
+def framing_correction(record: Iterable[tuple[frozenset[int], Spin, int]]) -> LaurentScalar:
+    """The unit monomial prod_i ribbon_scalar(color_i)^(n_i) over the components
+    of a closure record, n_i their self-writhes.  Each positive self-crossing
+    gives the closed-braid value w a factor ribbon_scalar^(-1), so the product
+    with w is invariant under all Markov moves: conjugation changes nothing, and
+    a stabilisation multiplies w by ribbon_scalar^(-+1) and shifts n_i by +-1."""
+    return prod((ribbon_scalar(color) ** n_i for _, color, n_i in record), start=ONE)
 
 
 def cabling(
@@ -298,7 +296,7 @@ def _cancel(b: ColoredBraidWord) -> ColoredBraidWord:
 
 
 def reduce_closure(b: ColoredBraidWord) -> tuple[LaurentScalar, list[ColoredBraidWord]]:
-    """(factor, pieces) with w(b) = factor * prod w(piece), by three exact
+    """(factor, pieces) with w(b) = factor * prod w(piece), by four exact
     moves repeated until none applies:
 
     - cancel inverse pairs across commuting letters and around the closure
@@ -306,10 +304,11 @@ def reduce_closure(b: ColoredBraidWord) -> tuple[LaurentScalar, list[ColoredBrai
     - split where a generator i never occurs: the closure is the split
       union of strands 1..i and i+1..n;
     - destabilise a single sigma_(n-1) or sigma_1 with its strand, for a
-      ribbon monomial in the factor.
+      ribbon monomial in the factor;
+    - fold a one-strand braid, an unknot of color j, into the factor as qdim(j).
 
     No move adds a letter or a strand, or changes a per-component writhe of
-    the closure.  A piece reduces to itself with the factor one.
+    the closure.  Every piece has letters and reduces to itself with the factor one.
     """
     factor = LaurentScalar.one()
     pieces: list[ColoredBraidWord] = []
@@ -323,7 +322,9 @@ def reduce_closure(b: ColoredBraidWord) -> tuple[LaurentScalar, list[ColoredBrai
         for g in word:
             count[abs(g)] += 1
         cuts = [i for i in range(1, n) if not count[i]]
-        if cuts:
+        if n == 1:
+            factor = factor * qdim(b.colors[0])
+        elif cuts:
             bounds = [0, *cuts, n]
             for lo, hi in reversed(list(zip(bounds, bounds[1:]))):
                 todo.append(ColoredBraidWord(
@@ -418,7 +419,7 @@ def braid_to_diagram(b: ColoredBraidWord) -> LinkDiagram:
     # trace closure: the top arc at position k (id k or a fresh id) is bottom arc k
     closed = {current[k]: k for k in range(n)}
     crossings = tuple(
-        Crossing(tuple(closed.get(e, e) for e in slots), sign) for slots, sign in raw)
+        Crossing(tuple([closed.get(e, e) for e in slots]), sign) for slots, sign in raw)
     edges: list[set[int]] = [set() for _ in components]
     for c in crossings:
         for e in c.slots:

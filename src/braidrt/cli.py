@@ -24,8 +24,8 @@ import sys
 from typing import Iterable, Sequence
 
 from .braid import (ColoredBraidWord, ColorMismatch, braid_to_diagram, closure_components,
-                    conjugate, framing_correction, reduce_closure, split_union, stabilise,
-                    writhe_per_component)
+                    closure_record, conjugate, framing_correction, reduce_closure, split_union,
+                    stabilise)
 from .laurent import LaurentScalar
 from .rt_engine import evaluate_rt
 from .shadow_engine import evaluate_shadow
@@ -127,32 +127,31 @@ def _evaluate(b: ColoredBraidWord, pipeline: str) -> LaurentScalar:
 def run_invariant(b: ColoredBraidWord, pipeline: str, output_format: str = "text") -> str:
     """Evaluate one braid and render w_L, I_L, writhes and component count.
 
-    The coloring is checked on b as given.  w_L is then evaluated on the
-    pieces of reduce_closure(b), while the writhes, the component count
-    and the framing correction come from b itself.
+    The closure record of b as given, built once, checks the coloring and
+    gives the writhes, the component count and the framing correction; w_L
+    is the factor of reduce_closure(b) times the value of each piece.
     """
     if pipeline == "skein" and any(c != SPIN_HALF for c in b.colors):
         raise ColorMismatch("the skein pipeline requires all-fundamental colors")
-    closure_components(b)  # raises ColorMismatch before any move hides a strand
+    record = closure_record(b)  # raises ColorMismatch before any move hides a strand
     w, pieces = reduce_closure(b)
     for piece in pieces:
         w = w * _evaluate(piece, pipeline)
-    invariant = framing_correction(b) * w
-    writhes = writhe_per_component(b)
-    components = len(closure_components(b))
+    invariant = framing_correction(record) * w
+    writhes = [n_i for _, _, n_i in record]
     if output_format == "json":
         return json.dumps({
             "w_L": w.to_json_terms(),
             "I_L": invariant.to_json_terms(),
-            "writhe": list(writhes),
-            "components": components,
+            "writhe": writhes,
+            "components": len(record),
             "pipeline": pipeline,
         }, separators=(", ", ": "))
     return "\n".join([
         f"w_L = {w}",
         f"I_L = {invariant}",
         f"writhe = [{', '.join(str(x) for x in writhes)}]",
-        f"components = {components}",
+        f"components = {len(record)}",
         f"pipeline = {pipeline}",
     ])
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .braid import ColoredBraidWord, cabling, closure_components, framing_correction
+from .braid import ColoredBraidWord, cabling, closure_components, closure_record, framing_correction
 from .braid import split_union  # noqa: F401  (importable here for tests/test_acceptance.py)
 from .laurent import ONE, ZERO, LaurentScalar
 # evaluate_rt does not call quantum_trace; the name stays importable here
@@ -177,7 +177,7 @@ def evaluate_rt(b: ColoredBraidWord) -> LaurentScalar:
 
 def framed_invariant(b: ColoredBraidWord) -> LaurentScalar:
     """The Markov-invariant value: self-writhe correction applied to w."""
-    return framing_correction(b) * evaluate_rt(b)
+    return framing_correction(closure_record(b)) * evaluate_rt(b)
 
 
 def two_cabling(

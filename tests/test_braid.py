@@ -12,6 +12,7 @@ from braidrt.braid import (
     braid_to_diagram,
     cabling,
     closure_components,
+    closure_record,
     conjugate,
     destabilise,
     markov_moves,
@@ -63,8 +64,27 @@ def test_closure_components_hopf_two_colors():
 
 def test_closure_color_mismatch():
     b = ColoredBraidWord(2, (H, SPIN_ONE), (1,))
-    with pytest.raises(ColorMismatch):
-        closure_components(b)
+    for closure in (closure_components, closure_record):
+        with pytest.raises(ColorMismatch, match="^strands 0 and 1 lie on one component but "
+                                                "carry colors 1/2 and 1$"):
+            closure(b)
+
+
+@given(colored_braids(max_strands=5, max_length=10, max_twice_j=2))
+def test_closure_record_is_the_components_with_their_self_writhes(b):
+    # reference: follow the strand at each position, and look up its component
+    components = closure_components(b)
+    component_of = {k: idx for idx, (strands, _) in enumerate(components) for k in strands}
+    writhes = [0] * len(components)
+    pos = list(range(b.strands))
+    for g in b.word:
+        i = abs(g) - 1
+        if component_of[pos[i]] == component_of[pos[i + 1]]:
+            writhes[component_of[pos[i]]] += 1 if g > 0 else -1
+        pos[i], pos[i + 1] = pos[i + 1], pos[i]
+    record = closure_record(b)
+    assert record == tuple((s, c, n) for (s, c), n in zip(components, writhes))
+    assert writhe_per_component(b) == tuple(writhes)
 
 
 def test_writhe_per_component():
@@ -295,11 +315,12 @@ def test_reduce_closure_destabilises_the_first_strand():
 
 
 def test_reduce_closure_of_a_wide_kink_is_a_product_of_unknots():
+    # one kink and 39 unknots, each folded into the factor as qdim
     b = ColoredBraidWord(40, (H,) * 40, (1, -1, 39))
     factor, pieces = reduce_closure(b)
-    assert factor == ribbon_scalar(H) ** -1
-    assert pieces == [ColoredBraidWord(1, (H,))] * 39
-    assert reduced_value(b, evaluate_rt) == factor * qdim(H) ** 39
+    assert pieces == []
+    assert factor == ribbon_scalar(H) ** -1 * qdim(H) ** 39
+    assert reduced_value(b, evaluate_rt) == factor
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,5 +342,7 @@ def test_reduce_closure_shrinks_and_its_pieces_are_reduced(b):
     assert sum(len(piece.word) for piece in pieces) <= len(b.word)
     assert sum(piece.strands for piece in pieces) <= b.strands
     for piece in pieces:
+        # one-strand braids fold into the factor, so every piece has letters
+        assert piece.strands >= 2 and piece.word
         closure_components(piece)  # every piece is consistently colored
         assert reduce_closure(piece) == (ONE, [piece])

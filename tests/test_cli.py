@@ -13,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import colored_braids
 
-from braidrt.braid import closure_components, framing_correction, writhe_per_component
+from braidrt import cli
+from braidrt.braid import (ColoredBraidWord, closure_components, closure_record, framing_correction,
+                           writhe_per_component)
 from braidrt.cli import (
     PIPELINES,
     ParseError,
@@ -105,7 +107,7 @@ def test_json_output_round_trips(b):
     data = json.loads(run_invariant(b, "rt", "json"))
     w = evaluate_rt(b)
     assert LaurentScalar.from_json_terms(data["w_L"]) == w
-    assert LaurentScalar.from_json_terms(data["I_L"]) == framing_correction(b) * w
+    assert LaurentScalar.from_json_terms(data["I_L"]) == framing_correction(closure_record(b)) * w
     assert data["writhe"] == list(writhe_per_component(b))
     assert data["components"] == len(closure_components(b))
 
@@ -197,6 +199,55 @@ def test_a_wide_braid_with_few_crossings_is_one_kink_and_unknots(capsys, pipelin
     assert result["writhe"] == [0] * 38 + [1]
 
 
+WALK_SPECS = [
+    TREFOIL,
+    WIDE_KINK,
+    "n=3; colors=1/2,1/2,1/2; word=+1 -2 +1 -2",
+    "n=4; colors=1/2,1/2,1/2,1/2; word=+1 +3 +1 +3 +1",  # split, one piece a Hopf link
+    "n=5; colors=1/2,1/2,1/2,1/2,1/2; word=+1 +1 +2 -1 +3 +3 +4",  # destabilised
+    "n=2; colors=1/2,1/2; word=+1 -1",  # cancels to two unknots
+]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Each braid whose closure permutation is walked, and each braid that
+    cli hands to an engine or to the diagram of the skein pipeline, in order."""
+    seen = {"walked": [], "evaluated": []}
+    permutation = ColoredBraidWord.permutation
+
+    def walk(b):
+        seen["walked"].append(b)
+        return permutation(b)
+
+    def entry(name):
+        inner = getattr(cli, name)
+
+        def evaluated(b):
+            seen["evaluated"].append(b)
+            return inner(b)
+
+        return evaluated
+
+    monkeypatch.setattr(ColoredBraidWord, "permutation", walk)
+    for name in ("evaluate_rt", "evaluate_shadow", "braid_to_diagram"):
+        monkeypatch.setattr(cli, name, entry(name))
+    return seen
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_the_braid_as_given_is_walked_once_and_each_piece_once(walks, pipeline, spec):
+    b = parse_braid_spec(spec)
+    run_invariant(b, pipeline)
+    pieces = walks["evaluated"]
+    # the closure record walks b; each engine or diagram checks its piece
+    assert walks["walked"] == [b, *pieces]
+    assert all(piece.strands >= 2 and piece.word for piece in pieces)
+    if spec == WIDE_KINK:
+        assert pieces == []
+
+
 @pytest.mark.parametrize("pipeline", ["rt", "shadow"])
 @pytest.mark.parametrize("spec, strands", [
     # both letters destabilise, so the reduced braid is one strand of spin 1/2
@@ -204,12 +255,15 @@ def test_a_wide_braid_with_few_crossings_is_one_kink_and_unknots(capsys, pipelin
     # the split leaves the faulty component as strands 0 and 1 of a piece
     ("n=3; colors=1,1/2,1; word=+2 +2 +2", "1 and 2"),
 ])
-def test_a_coloring_error_is_reported_on_the_braid_as_given(capsys, pipeline, spec, strands):
+def test_a_coloring_error_is_reported_on_the_braid_as_given(capsys, walks, pipeline, spec,
+                                                           strands):
     assert main(["invariant", "--spec", spec, "--pipeline", pipeline]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error (coloring): strands {strands} lie on one component but "
                             f"carry colors 1/2 and 1  [spec: {spec}]\n")
+    # the closure record raises on its one walk, before any piece is evaluated
+    assert walks == {"walked": [parse_braid_spec(spec)], "evaluated": []}
 
 
 def test_skein_rejects_other_colors_before_the_coloring_check(capsys):

@@ -9,7 +9,7 @@ from strategies import colored_braids
 
 from braidrt import rt_engine, uqsl2
 from braidrt.braid import (ColoredBraidWord, ColorMismatch, cabling, closure_components,
-                           framing_correction, split_union)
+                           closure_record, framing_correction, split_union)
 from braidrt.laurent import ONE, LaurentScalar, q_power
 from braidrt.rt_engine import evaluate_rt, framed_invariant, strip_operator, two_cabling
 from braidrt.skein_oracle import skein_triple
@@ -270,7 +270,7 @@ def test_evaluate_rt_color_mismatch():
 def test_framed_invariant_removes_kinks():
     assert framed_invariant(B(2, HH, (1,))) == qdim(H)
     assert framed_invariant(B(2, HH, (-1,))) == qdim(H)
-    assert framing_correction(B(2, HH, (1,))) == ribbon_scalar(H)
+    assert framing_correction(closure_record(B(2, HH, (1,)))) == ribbon_scalar(H)
 
 
 def test_evaluate_rt_invariant_under_braid_relations():
